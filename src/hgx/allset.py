@@ -8,9 +8,11 @@ classical propagation rules; the learned pools wrap the aggregation in
 MLPs (deep-sets style) or in seeded multihead attention with layer norm
 (set-transformer style).
 
-Aggregations run over a flat incidence-pair layout: rows are gathered
-from the source side and reduced per segment.  Empty segments (isolated
-nodes) produce zero rows.
+Aggregations read the hypergraph's cached incidence
+(:attr:`~hgx.hypergraph.Hypergraph.incidence`): each half takes one of its
+directed views, gathers rows from the source side and reduces them per
+segment, and pools read segment sizes and nonempty masks from that view.
+Empty segments (isolated nodes) produce zero rows.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .hypergraph import Hypergraph, incidence_pairs
+from .hypergraph import Hypergraph, SegmentView, segment_view
 from .nn import MlpSpec
 
 
@@ -36,16 +38,6 @@ class PerAggregatorGuardError(ValueError):
 
 
 PER_AGGREGATOR_PAIR_GUARD = 200_000
-
-
-def _segment_sizes(seg: np.ndarray, num: int) -> np.ndarray:
-    sizes = np.zeros(num)
-    np.add.at(sizes, seg, 1.0)
-    return sizes
-
-
-def _nonempty_mask(seg: np.ndarray, num: int) -> np.ndarray:
-    return (_segment_sizes(seg, num) > 0).astype(np.float64).reshape(-1, 1)
 
 
 class MultisetFunction:
@@ -64,11 +56,11 @@ class MultisetFunction:
         self,
         params: Dict[str, Tensor],
         src: Tensor,
-        pair_src: np.ndarray,
-        pair_seg: np.ndarray,
-        num_segments: int,
+        view: SegmentView,
         prefix: str,
     ) -> Tensor:
+        """One output row per segment of ``view``, reducing the rows of
+        ``src`` that the view gathers into it."""
         raise NotImplementedError
 
     def __call__(self, params: Dict[str, Tensor], rows, prefix: str = "f") -> Tensor:
@@ -77,20 +69,19 @@ class MultisetFunction:
         if rows.shape[0] == 0:
             raise EmptyMultisetError("multiset function applied to an empty multiset")
         n = rows.shape[0]
-        return self.aggregate(
-            params, rows, np.arange(n), np.zeros(n, dtype=np.int64), 1, prefix
-        )
+        view = segment_view(np.arange(n), np.zeros(n, dtype=np.int64), 1)
+        return self.aggregate(params, rows, view, prefix)
 
 
 class SumPool(MultisetFunction):
-    def aggregate(self, params, src, pair_src, pair_seg, num_segments, prefix):
-        return ad.segment_sum(ad.gather_rows(src, pair_src), pair_seg, num_segments)
+    def aggregate(self, params, src, view, prefix):
+        return ad.segment_sum(ad.gather_rows(src, view.src), view.seg, view.count)
 
 
 class MeanPool(MultisetFunction):
-    def aggregate(self, params, src, pair_src, pair_seg, num_segments, prefix):
-        total = ad.segment_sum(ad.gather_rows(src, pair_src), pair_seg, num_segments)
-        sizes = np.maximum(_segment_sizes(pair_seg, num_segments), 1.0)
+    def aggregate(self, params, src, view, prefix):
+        total = ad.segment_sum(ad.gather_rows(src, view.src), view.seg, view.count)
+        sizes = np.maximum(view.sizes, 1.0)
         return ad.mul(total, ad.constant(1.0 / sizes.reshape(-1, 1)))
 
 
@@ -101,11 +92,11 @@ class ProductPool(MultisetFunction):
     def __init__(self, scale_by_cardinality_minus_one: bool = False):
         self.scale_by_cardinality_minus_one = scale_by_cardinality_minus_one
 
-    def aggregate(self, params, src, pair_src, pair_seg, num_segments, prefix):
-        prod = ad.segment_prod(ad.gather_rows(src, pair_src), pair_seg, num_segments)
-        scale = _nonempty_mask(pair_seg, num_segments)
+    def aggregate(self, params, src, view, prefix):
+        prod = ad.segment_prod(ad.gather_rows(src, view.src), view.seg, view.count)
+        scale = view.nonempty
         if self.scale_by_cardinality_minus_one:
-            scale = scale * (_segment_sizes(pair_seg, num_segments).reshape(-1, 1) - 1.0)
+            scale = scale * (view.sizes.reshape(-1, 1) - 1.0)
         return ad.mul(prod, ad.constant(scale))
 
 
@@ -125,9 +116,9 @@ class WeightedSumPool(MultisetFunction):
             else np.asarray(segment_scale, dtype=np.float64).reshape(-1, 1)
         )
 
-    def aggregate(self, params, src, pair_src, pair_seg, num_segments, prefix):
-        rows = ad.mul(ad.gather_rows(src, pair_src), ad.constant(self.pair_weights))
-        out = ad.segment_sum(rows, pair_seg, num_segments)
+    def aggregate(self, params, src, view, prefix):
+        rows = ad.mul(ad.gather_rows(src, view.src), ad.constant(self.pair_weights))
+        out = ad.segment_sum(rows, view.seg, view.count)
         if self.segment_scale is not None:
             out = ad.mul(out, ad.constant(self.segment_scale))
         return out
@@ -155,11 +146,11 @@ class DeepSetsPool(MultisetFunction):
         params.update(nn.init_mlp_params(self.outer, rng, f"{prefix}.outer"))
         return params
 
-    def aggregate(self, params, src, pair_src, pair_seg, num_segments, prefix):
+    def aggregate(self, params, src, view, prefix):
         h = nn.mlp_forward(self.inner, params, src, f"{prefix}.inner")
-        pooled = ad.segment_sum(ad.gather_rows(h, pair_src), pair_seg, num_segments)
+        pooled = ad.segment_sum(ad.gather_rows(h, view.src), view.seg, view.count)
         out = nn.mlp_forward(self.outer, params, pooled, f"{prefix}.outer")
-        return ad.mul(out, ad.constant(_nonempty_mask(pair_seg, num_segments)))
+        return ad.mul(out, ad.constant(view.nonempty))
 
 
 class SetTransformerPool(MultisetFunction):
@@ -217,7 +208,7 @@ class SetTransformerPool(MultisetFunction):
         params.update(nn.init_mlp_params(post, rng, f"{prefix}.post"))
         return params
 
-    def aggregate(self, params, src, pair_src, pair_seg, num_segments, prefix):
+    def aggregate(self, params, src, view, prefix):
         key, value, post = self._specs(src.shape[1])
         seed = params[f"{prefix}.seed"]
         head_outputs = []
@@ -226,10 +217,10 @@ class SetTransformerPool(MultisetFunction):
             v = nn.mlp_forward(value, params, src, f"{prefix}.value{i}")
             lo, hi = i * self.head_dim, (i + 1) * self.head_dim
             seed_slice = ad.slice_cols(seed, lo, hi)
-            logits = ad.row_sum(ad.mul(ad.gather_rows(k, pair_src), seed_slice))
-            weights = ad.segment_softmax(logits, pair_seg, num_segments)
-            weighted = ad.mul(ad.gather_rows(v, pair_src), weights)
-            head_outputs.append(ad.segment_sum(weighted, pair_seg, num_segments))
+            logits = ad.row_sum(ad.mul(ad.gather_rows(k, view.src), seed_slice))
+            weights = ad.segment_softmax(logits, view.seg, view.count)
+            weighted = ad.mul(ad.gather_rows(v, view.src), weights)
+            head_outputs.append(ad.segment_sum(weighted, view.seg, view.count))
         mh = head_outputs[0] if self.heads == 1 else ad.concat_cols(head_outputs)
         y = nn.layer_norm(
             ad.add(seed, mh),
@@ -243,7 +234,7 @@ class SetTransformerPool(MultisetFunction):
             params[f"{prefix}.ln2.bias"],
             eps=self.eps,
         )
-        return ad.mul(out, ad.constant(_nonempty_mask(pair_seg, num_segments)))
+        return ad.mul(out, ad.constant(view.nonempty))
 
 
 _KINDS = {
@@ -295,20 +286,27 @@ class AllSetLayer:
         self.variant = variant
         self.use_second_argument = use_second_argument
 
+    def widths(self, in_dim: int, z_prev_dim: int = 0) -> tuple:
+        """(edge-state width, node-state width) of this layer's output for
+        ``in_dim`` input columns and a previous edge state of
+        ``z_prev_dim`` columns (0 when there is none); both account for
+        the optional second-argument concatenation."""
+        z_dim = self.v2e.out_dim(in_dim)
+        if self.use_second_argument:
+            z_dim += z_prev_dim
+        out_dim = self.e2v.out_dim(z_dim)
+        if self.use_second_argument:
+            out_dim += in_dim
+        return z_dim, out_dim
+
     def init_params(
         self, rng: np.random.Generator, in_dim: int, z_prev_dim: int = 0,
         prefix: str = "layer",
     ) -> tuple:
-        """Returns (params, out_dim); dims account for the optional
-        second-argument concatenation."""
+        """Returns (params, out_dim), with widths from :meth:`widths`."""
+        z_dim, out_dim = self.widths(in_dim, z_prev_dim)
         params = self.v2e.init_params(rng, in_dim, f"{prefix}.v2e")
-        z_dim = self.v2e.out_dim(in_dim)
-        if self.use_second_argument:
-            z_dim += z_prev_dim
         params.update(self.e2v.init_params(rng, z_dim, f"{prefix}.e2v"))
-        out_dim = self.e2v.out_dim(z_dim)
-        if self.use_second_argument:
-            out_dim += in_dim
         return params, out_dim
 
     def v2e_forward(
@@ -325,8 +323,7 @@ class AllSetLayer:
             raise ad.ShapeMismatchError(
                 f"features have {xt.shape[0]} rows for {hg.n} nodes"
             )
-        pn, pe = incidence_pairs(hg)
-        z = self.v2e.aggregate(params, xt, pn, pe, hg.num_edges, f"{prefix}.v2e")
+        z = self.v2e.aggregate(params, xt, hg.incidence.v2e, f"{prefix}.v2e")
         if self.use_second_argument and z_prev is not None:
             zp = z_prev if isinstance(z_prev, Tensor) else Tensor(z_prev)
             if zp.shape[0] != hg.num_edges:
@@ -353,8 +350,7 @@ class AllSetLayer:
             raise ad.ShapeMismatchError(
                 f"edge states have {zt.shape[0]} rows for {hg.num_edges} edges"
             )
-        pn, pe = incidence_pairs(hg)
-        x_out = self.e2v.aggregate(params, zt, pe, pn, hg.n, f"{prefix}.e2v")
+        x_out = self.e2v.aggregate(params, zt, hg.incidence.e2v, f"{prefix}.e2v")
         if self.use_second_argument and x_prev is not None:
             xp = x_prev if isinstance(x_prev, Tensor) else Tensor(x_prev)
             x_out = ad.concat_cols([x_out, xp])
@@ -395,13 +391,13 @@ def per_aggregator_propagate(
     """Pair-level propagation: for every (edge, member) pair, aggregate
     the other members' rows, then sum (or average) those pair states at
     each node.  Small instances only."""
-    pair_count = int(hg.edge_sizes().sum())
+    pair_count = len(hg.incidence.nodes)
     if pair_count * max(x.shape[1], 1) > PER_AGGREGATOR_PAIR_GUARD:
         raise PerAggregatorGuardError(
             f"{pair_count} pairs x {x.shape[1]} features exceeds the guard"
         )
     out = np.zeros_like(x)
-    counts = hg.degrees().astype(np.float64)
+    counts = hg.incidence.e2v.sizes
     for members in hg.edges:
         idx = list(members)
         rows = x[idx]
@@ -421,20 +417,6 @@ def per_aggregator_propagate(
     if mean_e2v:
         out /= np.maximum(counts, 1.0).reshape(-1, 1)
     return out
-
-
-def alldeepsets_f(
-    pool: DeepSetsPool, params: Dict[str, Tensor], rows, prefix: str = "f"
-) -> Tensor:
-    """Deep-sets evaluation of a single multiset (one output row)."""
-    return pool(params, rows, prefix=prefix)
-
-
-def allsettransformer_f(
-    pool: SetTransformerPool, params: Dict[str, Tensor], rows, prefix: str = "f"
-) -> Tensor:
-    """Attention-pool evaluation of a single multiset (one output row)."""
-    return pool(params, rows, prefix=prefix)
 
 
 class AllSetNetwork:
@@ -457,12 +439,12 @@ class AllSetNetwork:
         self.layers = list(layers)
         self.input_proj = input_proj
         self.dropout = float(dropout)
-        dim = in_dim if input_proj is None else input_proj.out_dim
-        self._layer_in_dims = []
+        # forward starts without a previous edge state (z0 is None)
+        dim, z_dim = (in_dim if input_proj is None else input_proj.out_dim), 0
+        self._layer_dims = []
         for layer in self.layers:
-            self._layer_in_dims.append(dim)
-            z_dim = layer.v2e.out_dim(dim)
-            dim = layer.e2v.out_dim(z_dim)
+            self._layer_dims.append((dim, z_dim))
+            z_dim, dim = layer.widths(dim, z_dim)
         self.head = head or MlpSpec((dim, num_classes), activation="identity")
         if self.head.in_dim != dim or self.head.out_dim != num_classes:
             raise ValueError(
@@ -475,7 +457,7 @@ class AllSetNetwork:
             params.update(nn.init_mlp_params(self.input_proj, rng, "proj"))
         for li, layer in enumerate(self.layers):
             layer_params, _ = layer.init_params(
-                rng, self._layer_in_dims[li], prefix=f"layer{li}"
+                rng, *self._layer_dims[li], prefix=f"layer{li}"
             )
             params.update(layer_params)
         params.update(nn.init_mlp_params(self.head, rng, "head"))
@@ -490,13 +472,21 @@ class AllSetNetwork:
         rng: Optional[np.random.Generator] = None,
         training: bool = False,
     ) -> Tensor:
-        """Logits with one row per node and one column per class."""
+        """Logits with one row per node and one column per class.  The
+        layer widths are fixed without an initial edge state, so a ``z0``
+        that the first layer would concatenate is rejected."""
         h = x if isinstance(x, Tensor) else Tensor(x)
         if h.shape[1] != self.in_dim:
             raise ad.ShapeMismatchError(
                 f"network expects {self.in_dim} feature columns, got {h.shape[1]}"
             )
+        if z0 is not None and self.layers[0].use_second_argument:
+            raise ad.ShapeMismatchError(
+                "the network's widths assume no initial edge state, got z0"
+            )
         drop = self.dropout if training else 0.0
+        if drop > 0 and rng is None:
+            raise ValueError("training with dropout needs an rng")
         if self.input_proj is not None:
             h = nn.mlp_forward(self.input_proj, params, h, "proj")
             if drop > 0:

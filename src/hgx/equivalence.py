@@ -16,9 +16,10 @@ from typing import List
 
 import numpy as np
 
+from . import autodiff as ad
 from . import rules
 from .allset import AllSetLayer, ProductPool, SumPool, per_aggregator_propagate
-from .hypergraph import Hypergraph, clique_expansion_adjacency, from_edge_list
+from .hypergraph import Hypergraph, from_edge_list
 from .nn import make_rng
 
 
@@ -102,8 +103,6 @@ def _hgnn_case(trials: int, rng) -> float:
         x = rng.normal(size=(hg.n, 3))
         theta = rng.normal(size=(3, 2))
         bias = rng.normal(size=(1, 2))
-        import hgx.autodiff as ad
-
         params = {"hgnn.theta": ad.parameter(theta), "hgnn.bias": ad.parameter(bias)}
         got = rules.hgnn_layer(hg, x, params).value
         want = _hgnn_construction(hg, x, theta, bias)
@@ -134,8 +133,6 @@ def _hnhn_construction(hg, x, theta_e, bias_e, theta_v, bias_v, alpha, beta):
 
 
 def _hnhn_case(trials: int, rng) -> float:
-    import hgx.autodiff as ad
-
     worst = 0.0
     for _ in range(trials):
         hg = _random_hypergraph(rng)
@@ -176,8 +173,6 @@ def _hypersage_construction(hg, x, theta, p):
 
 
 def _hypersage_case(trials: int, rng) -> float:
-    import hgx.autodiff as ad
-
     worst = 0.0
     for _ in range(trials):
         hg = _random_hypergraph(rng)
@@ -191,26 +186,6 @@ def _hypersage_case(trials: int, rng) -> float:
     return worst
 
 
-def _mpnn_case(trials: int, rng) -> float:
-    """On 2-uniform hypergraphs the pair-state variant with a linear
-    message map and an additive update is one sum-aggregation message
-    passing step: X' = X Wu + A X Wm."""
-    worst = 0.0
-    for _ in range(trials):
-        hg = _random_hypergraph(rng, uniform=2)
-        x = rng.normal(size=(hg.n, 3))
-        w_msg = rng.normal(size=(3, 3))
-        w_upd = rng.normal(size=(3, 3))
-        # pair-state route: one hidden state per (edge, endpoint)
-        out = x @ w_upd
-        for u, v in hg.edges:
-            out[v] += x[u] @ w_msg
-            out[u] += x[v] @ w_msg
-        reference = x @ w_upd + clique_expansion_adjacency(hg) @ (x @ w_msg)
-        worst = max(worst, np.abs(out - reference).max())
-    return worst
-
-
 def equivalence_suite(seed: int = 0, trials: int = 50) -> List[EquivalenceCase]:
     """Run every construction at its stated tolerance; results carry the
     worst observed deviation over ``trials`` random hypergraphs."""
@@ -221,7 +196,6 @@ def equivalence_suite(seed: int = 0, trials: int = 50) -> List[EquivalenceCase]:
         ("weighted sums = degree-normalized two-stage layer", _hgnn_case, 1e-12),
         ("degree-power averages = two-half-step layer", _hnhn_case, 1e-12),
         ("power means + residual = normalized sage layer", _hypersage_case, 1e-12),
-        ("pair states on graphs = message passing step", _mpnn_case, 1e-12),
     ]
     results = []
     for i, (name, fn, tol) in enumerate(cases):

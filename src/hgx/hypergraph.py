@@ -5,12 +5,21 @@ a set of node ids of arbitrary size.  Hyperedges are stored as strictly
 increasing tuples so that every derived quantity is deterministic.  All
 structures here are immutable after construction and safe to share between
 threads.
+
+Every aggregation reads one :class:`Incidence` per hypergraph: the
+node-edge pairs, degrees, edge sizes and edge weights, plus the two
+directed views a layer reduces over (node rows into edges, edge rows into
+nodes).  It is built on first use of :attr:`Hypergraph.incidence` and
+cached on the instance; its arrays are read-only.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -22,6 +31,10 @@ class HypergraphError(ValueError):
 
 class NodeIdOutOfRangeError(HypergraphError):
     pass
+
+
+class NodeIdTypeError(HypergraphError):
+    """A node id that is not an integer (``operator.index`` rejects it)."""
 
 
 class EmptyEdgeError(HypergraphError):
@@ -74,14 +87,16 @@ class Hypergraph:
     def edge_weight(self, e: int) -> float:
         return 1.0 if self.weights is None else self.weights[e]
 
+    @cached_property
+    def incidence(self) -> Incidence:
+        """The cached node-edge incidence, built on first access."""
+        return _build_incidence(self)
+
     def edge_sizes(self) -> np.ndarray:
-        return np.array([len(e) for e in self.edges], dtype=np.int64)
+        return self.incidence.edge_sizes
 
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=np.int64)
-        for e in self.edges:
-            d[list(e)] += 1
-        return d
+        return self.incidence.degrees
 
     def uniform_order(self) -> Optional[int]:
         """Edge size if all hyperedges share one, else ``None``."""
@@ -89,12 +104,65 @@ class Hypergraph:
         return sizes.pop() if len(sizes) == 1 else None
 
 
-@dataclass(frozen=True)
-class IncidenceIndex:
-    """Dual incidence maps: node -> sorted edge ids, edge -> node ids."""
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    node_to_edges: tuple
-    edge_to_nodes: tuple
+
+@dataclass(frozen=True, eq=False)
+class SegmentView:
+    """One direction of an incidence: pair ``i`` gathers source row
+    ``src[i]`` and reduces it into segment ``seg[i]`` of ``count``.
+    ``sizes`` counts the pairs per segment (float64) and ``nonempty`` is
+    the ``(count, 1)`` float64 mask of segments with at least one pair."""
+
+    src: np.ndarray
+    seg: np.ndarray
+    count: int
+    sizes: np.ndarray
+    nonempty: np.ndarray
+
+
+def segment_view(src, seg, count: int) -> SegmentView:
+    """Build a read-only view from arbitrary pair arrays."""
+    seg = _readonly(np.array(seg, dtype=np.int64))
+    sizes = _readonly(np.bincount(seg, minlength=count).astype(np.float64))
+    nonempty = _readonly((sizes > 0).astype(np.float64).reshape(-1, 1))
+    src = _readonly(np.array(src, dtype=np.int64))
+    return SegmentView(src, seg, int(count), sizes, nonempty)
+
+
+@dataclass(frozen=True, eq=False)
+class Incidence:
+    """Read-only incidence of one hypergraph.  ``nodes``/``edges`` list
+    every membership in edge-major canonical order; ``degrees`` and
+    ``edge_sizes`` are int64, ``weights`` float64 (1.0 when unweighted).
+    ``v2e`` reduces node rows into edges, ``e2v`` edge rows into nodes."""
+
+    nodes: np.ndarray
+    edges: np.ndarray
+    degrees: np.ndarray
+    edge_sizes: np.ndarray
+    weights: np.ndarray
+    v2e: SegmentView
+    e2v: SegmentView
+
+
+def _build_incidence(hg: Hypergraph) -> Incidence:
+    sizes = np.fromiter(map(len, hg.edges), dtype=np.int64, count=hg.num_edges)
+    nodes = np.fromiter(itertools.chain.from_iterable(hg.edges), dtype=np.int64)
+    edges = np.repeat(np.arange(hg.num_edges, dtype=np.int64), sizes)
+    v2e = segment_view(nodes, edges, hg.num_edges)
+    weights = np.ones(hg.num_edges) if hg.weights is None else np.array(hg.weights)
+    return Incidence(
+        nodes=v2e.src,
+        edges=v2e.seg,
+        degrees=_readonly(np.bincount(nodes, minlength=hg.n).astype(np.int64)),
+        edge_sizes=_readonly(sizes),
+        weights=_readonly(weights),
+        v2e=v2e,
+        e2v=segment_view(edges, nodes, hg.n),
+    )
 
 
 def from_edge_list(
@@ -105,14 +173,19 @@ def from_edge_list(
     """Validate and canonicalize raw edge data into a :class:`Hypergraph`.
 
     Node ids inside each raw hyperedge are deduplicated and sorted.  Edges
-    that are empty after deduplication are rejected, as are out-of-range
-    ids and nonpositive weights.
+    that are empty after deduplication are rejected, as are non-integer
+    and out-of-range ids and nonpositive weights.
     """
     if n < 0:
         raise HypergraphError(f"node count must be >= 0, got {n}")
     canon = []
     for k, raw in enumerate(raw_edges):
-        ids = sorted(set(int(v) for v in raw))
+        members = tuple(raw)
+        try:
+            ids = sorted(set(map(operator.index, members)))
+        except TypeError:
+            bad = next(v for v in members if not hasattr(v, "__index__"))
+            raise NodeIdTypeError(f"edge {k}: non-integer node id {bad!r}") from None
         if not ids:
             raise EmptyEdgeError(f"edge {k} is empty after deduplication")
         if ids[0] < 0 or ids[-1] >= n:
@@ -133,30 +206,10 @@ def from_edge_list(
     return Hypergraph(n=int(n), edges=tuple(canon), weights=wtup)
 
 
-def incidence_index(hg: Hypergraph) -> IncidenceIndex:
-    """Build the dual node<->edge incidence index."""
-    node_to_edges = [[] for _ in range(hg.n)]
-    for e, members in enumerate(hg.edges):
-        for v in members:
-            node_to_edges[v].append(e)
-    return IncidenceIndex(
-        node_to_edges=tuple(tuple(lst) for lst in node_to_edges),
-        edge_to_nodes=hg.edges,
-    )
-
-
 def incidence_pairs(hg: Hypergraph) -> tuple:
-    """All (node, edge) incidences in edge-major canonical order.
-
-    Returns ``(node_ids, edge_ids)`` int64 arrays of equal length
-    ``sum(|e|)``.  This is the flat layout every aggregation routine
-    iterates over.
-    """
-    nodes, edges = [], []
-    for e, members in enumerate(hg.edges):
-        nodes.extend(members)
-        edges.extend([e] * len(members))
-    return (np.asarray(nodes, dtype=np.int64), np.asarray(edges, dtype=np.int64))
+    """The cached incidence's (node_ids, edge_ids) pair arrays, in
+    edge-major canonical order."""
+    return hg.incidence.nodes, hg.incidence.edges
 
 
 @dataclass(frozen=True)
@@ -193,8 +246,8 @@ def stats(hg: Hypergraph) -> HypergraphStats:
             avg_degree=Fraction(0), median_degree=0,
             defined=False,
         )
-    sizes = sorted(len(e) for e in hg.edges)
-    degs = sorted(int(d) for d in hg.degrees())
+    sizes = sorted(hg.incidence.edge_sizes.tolist())
+    degs = sorted(hg.incidence.degrees.tolist())
     return HypergraphStats(
         num_nodes=hg.n,
         num_edges=hg.num_edges,
@@ -212,8 +265,7 @@ def stats(hg: Hypergraph) -> HypergraphStats:
 def incidence_matrix(hg: Hypergraph) -> np.ndarray:
     """Dense 0/1 incidence matrix of shape (n, |E|)."""
     H = np.zeros((hg.n, hg.num_edges))
-    for e, members in enumerate(hg.edges):
-        H[list(members), e] = 1.0
+    H[hg.incidence.nodes, hg.incidence.edges] = 1.0
     return H
 
 
@@ -236,12 +288,6 @@ def clique_expansion_adjacency(hg: Hypergraph) -> np.ndarray:
     out = clique_expansion_incidence(hg)
     np.fill_diagonal(out, 0.0)
     return out
-
-
-def star_expansion(hg: Hypergraph) -> list:
-    """Bipartite (node, edge-id) incidence pairs, one per membership."""
-    nodes, edges = incidence_pairs(hg)
-    return list(zip(nodes.tolist(), edges.tolist()))
 
 
 _TENSOR_GUARD = 10**7

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import ShapeMismatchError, Tensor
-from .hypergraph import Hypergraph, NotUniformError, incidence_pairs
+from .hypergraph import Hypergraph, NotUniformError
 
 
 class NonPositiveInputError(ValueError):
@@ -149,14 +149,12 @@ def _as_tensor(x: Union[np.ndarray, Tensor]) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _degree_mask(hg: Hypergraph) -> np.ndarray:
-    return (hg.degrees() > 0).astype(np.float64).reshape(-1, 1)
-
-
-def _edge_weights(hg: Hypergraph) -> np.ndarray:
-    if hg.weights is None:
-        return np.ones(hg.num_edges)
-    return np.asarray(hg.weights)
+def _node_tensor(hg: Hypergraph, x) -> Tensor:
+    """``x`` as a tensor with one row per node of ``hg``."""
+    xt = _as_tensor(x)
+    if xt.shape[0] != hg.n:
+        raise ShapeMismatchError(f"features have {xt.shape[0]} rows for {hg.n} nodes")
+    return xt
 
 
 def init_linear_params(
@@ -175,22 +173,19 @@ def init_hgnn_params(rng, f_in: int, f_out: int) -> Dict[str, Tensor]:
 def hgnn_layer(hg: Hypergraph, x, params: Dict[str, Tensor]) -> Tensor:
     """Degree-normalized two-stage mean aggregation followed by a linear
     map and ReLU.  Zero-degree nodes emit zero rows."""
-    xt = _as_tensor(x)
-    if xt.shape[0] != hg.n:
-        raise ShapeMismatchError(f"features have {xt.shape[0]} rows for {hg.n} nodes")
-    pn, pe = incidence_pairs(hg)
-    deg = hg.degrees().astype(np.float64)
+    xt = _node_tensor(hg, x)
+    inc = hg.incidence
+    deg = inc.e2v.sizes
     inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
-    sizes = hg.edge_sizes().astype(np.float64)
-    edge_scale = (_edge_weights(hg) / sizes).reshape(-1, 1)
+    edge_scale = (inc.weights / inc.v2e.sizes).reshape(-1, 1)
 
     scaled = ad.mul(xt, ad.constant(inv_sqrt.reshape(-1, 1)))
-    z = ad.segment_sum(ad.gather_rows(scaled, pn), pe, hg.num_edges)
+    z = ad.segment_sum(ad.gather_rows(scaled, inc.nodes), inc.edges, hg.num_edges)
     z = ad.mul(z, ad.constant(edge_scale))
-    agg = ad.segment_sum(ad.gather_rows(z, pe), pn, hg.n)
+    agg = ad.segment_sum(ad.gather_rows(z, inc.edges), inc.nodes, hg.n)
     agg = ad.mul(agg, ad.constant(inv_sqrt.reshape(-1, 1)))
     pre = ad.add(ad.matmul(agg, params["hgnn.theta"]), params["hgnn.bias"])
-    return ad.mul(ad.relu(pre), ad.constant(_degree_mask(hg)))
+    return ad.mul(ad.relu(pre), ad.constant(inc.e2v.nonempty))
 
 
 def init_hcha_params(
@@ -219,12 +214,11 @@ def hcha_layer(
     unusable and the layer falls back to uniform weights 1/d_u and
     1/d_v.
     """
-    xt = _as_tensor(x)
-    if xt.shape[0] != hg.n:
-        raise ShapeMismatchError(f"features have {xt.shape[0]} rows for {hg.n} nodes")
-    pn, pe = incidence_pairs(hg)
-    deg = hg.degrees().astype(np.float64)
-    sizes = hg.edge_sizes().astype(np.float64)
+    xt = _node_tensor(hg, x)
+    inc = hg.incidence
+    pn, pe = inc.nodes, inc.edges
+    deg = inc.e2v.sizes
+    inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
 
     if edge_feats is not None:
         zt = _as_tensor(edge_feats)
@@ -237,23 +231,21 @@ def hcha_layer(
         scores = ad.leaky_relu(ad.row_sum(ad.mul(pair_cat, att)), 0.2)
         alpha = ad.segment_softmax(scores, pn, hg.n)
     else:
-        inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
         alpha = ad.constant(inv_deg[pn].reshape(-1, 1))
 
     weighted = ad.mul(ad.gather_rows(xt, pn), alpha)
     inner = ad.segment_sum(weighted, pe, hg.num_edges)  # sum_u alpha_ue X_u
 
     alpha_ve = alpha  # same attention definition, evaluated at (v, e) pairs
-    edge_scale = ad.constant((_edge_weights(hg) / sizes)[pe].reshape(-1, 1))
+    edge_scale = ad.constant((inc.weights / inc.v2e.sizes)[pe].reshape(-1, 1))
     pair_outer = ad.mul(ad.mul(ad.gather_rows(inner, pe), alpha_ve), edge_scale)
-    inv_deg_col = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
     outer = ad.mul(
         ad.segment_sum(pair_outer, pn, hg.n),
-        ad.constant(inv_deg_col.reshape(-1, 1)),
+        ad.constant(inv_deg.reshape(-1, 1)),
     )
     pre = ad.add(ad.matmul(outer, params["hcha.theta"]), params["hcha.bias"])
     act = {"elu": ad.elu, "relu": ad.relu}[activation]
-    return ad.mul(act(pre), ad.constant(_degree_mask(hg)))
+    return ad.mul(act(pre), ad.constant(inc.e2v.nonempty))
 
 
 def init_hnhn_params(rng, f_in: int, f_edge: int, f_out: int) -> Dict[str, Tensor]:
@@ -283,14 +275,12 @@ def hnhn_layer(
     state) is accepted for interface parity but the update does not use
     it.  Returns ``(edge_state, node_state)``.
     """
-    xt = _as_tensor(x)
-    if xt.shape[0] != hg.n:
-        raise ShapeMismatchError(f"features have {xt.shape[0]} rows for {hg.n} nodes")
+    xt = _node_tensor(hg, x)
     if node_normalizer not in ("as_printed", "edge_size"):
         raise ValueError(f"unknown node_normalizer {node_normalizer!r}")
-    pn, pe = incidence_pairs(hg)
-    deg = hg.degrees().astype(np.float64)
-    sizes = hg.edge_sizes().astype(np.float64)
+    inc = hg.incidence
+    pn, pe = inc.nodes, inc.edges
+    deg = inc.e2v.sizes
 
     deg_beta = np.power(deg, beta, where=deg > 0, out=np.zeros_like(deg))
     d_el = np.zeros(hg.num_edges)
@@ -305,7 +295,7 @@ def hnhn_layer(
         ad.add(ad.matmul(edge_avg, params["hnhn.edge.theta"]), params["hnhn.edge.bias"])
     )
 
-    size_alpha = np.power(sizes, alpha)
+    size_alpha = np.power(inc.v2e.sizes, alpha)
     if node_normalizer == "as_printed":
         d_vl = np.zeros(hg.n)
         np.add.at(d_vl, pn, np.power(deg, alpha, where=deg > 0, out=np.zeros_like(deg))[pn])
@@ -319,7 +309,7 @@ def hnhn_layer(
     x_out = act(
         ad.add(ad.matmul(node_avg, params["hnhn.node.theta"]), params["hnhn.node.bias"])
     )
-    x_out = ad.mul(x_out, ad.constant(_degree_mask(hg)))
+    x_out = ad.mul(x_out, ad.constant(inc.e2v.nonempty))
     return z_out, x_out
 
 
@@ -361,9 +351,7 @@ def hypergcn_layer(hg: Hypergraph, x, params: Dict[str, Tensor]) -> Tensor:
     """Mediator-based incomplete clique propagation: each hyperedge
     routes weight through its feature-extreme pair, then a shared linear
     map and ReLU are applied."""
-    xt = _as_tensor(x)
-    if xt.shape[0] != hg.n:
-        raise ShapeMismatchError(f"features have {xt.shape[0]} rows for {hg.n} nodes")
+    xt = _node_tensor(hg, x)
     projected = xt.value @ params["hypergcn.theta"].value
     W = hypergcn_edge_weights(hg, projected)
     agg = ad.matmul(ad.constant(W), xt)
@@ -384,24 +372,21 @@ def hypersage_layer(
     activation."""
     if p < 1:
         raise ValueError(f"power-mean order must be >= 1, got {p}")
-    xt = _as_tensor(x)
-    if xt.shape[0] != hg.n:
-        raise ShapeMismatchError(f"features have {xt.shape[0]} rows for {hg.n} nodes")
+    xt = _node_tensor(hg, x)
     if p != 1 and (xt.value < 0).any():
         raise NegativeBaseError("power means with p > 1 require nonnegative input")
-    pn, pe = incidence_pairs(hg)
-    deg = hg.degrees().astype(np.float64)
-    sizes = hg.edge_sizes().astype(np.float64)
+    inc = hg.incidence
+    deg = inc.e2v.sizes
 
     xp = xt if p == 1 else ad.power(xt, float(p))
     edge_mean = ad.mul(
-        ad.segment_sum(ad.gather_rows(xp, pn), pe, hg.num_edges),
-        ad.constant((1.0 / sizes).reshape(-1, 1)),
+        ad.segment_sum(ad.gather_rows(xp, inc.nodes), inc.edges, hg.num_edges),
+        ad.constant((1.0 / inc.v2e.sizes).reshape(-1, 1)),
     )
     # z_e = edge_mean ** (1/p); z_e**p reappears immediately, so reuse edge_mean
     inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
     node_mean = ad.mul(
-        ad.segment_sum(ad.gather_rows(edge_mean, pe), pn, hg.n),
+        ad.segment_sum(ad.gather_rows(edge_mean, inc.edges), inc.nodes, hg.n),
         ad.constant(inv_deg.reshape(-1, 1)),
     )
     pooled = node_mean if p == 1 else ad.power(node_mean, 1.0 / p)
@@ -419,12 +404,11 @@ def hypersage_layer(
 
 def z_edge_state(hg: Hypergraph, x, p: int = 1) -> Tensor:
     """Power-mean hidden edge state used by the HyperSAGE update."""
-    xt = _as_tensor(x)
-    pn, pe = incidence_pairs(hg)
-    sizes = hg.edge_sizes().astype(np.float64)
+    xt = _node_tensor(hg, x)
+    inc = hg.incidence
     xp = xt if p == 1 else ad.power(xt, float(p))
     mean = ad.mul(
-        ad.segment_sum(ad.gather_rows(xp, pn), pe, hg.num_edges),
-        ad.constant((1.0 / sizes).reshape(-1, 1)),
+        ad.segment_sum(ad.gather_rows(xp, inc.nodes), inc.edges, hg.num_edges),
+        ad.constant((1.0 / inc.v2e.sizes).reshape(-1, 1)),
     )
     return mean if p == 1 else ad.power(mean, 1.0 / p)

@@ -14,12 +14,10 @@ from hgx.allset import (
     SetTransformerPool,
     SumPool,
     WeightedSumPool,
-    alldeepsets_f,
-    allsettransformer_f,
     multiset_function,
     per_aggregator_propagate,
 )
-from hgx.hypergraph import from_edge_list, incidence_pairs
+from hgx.hypergraph import from_edge_list, segment_view
 from hgx.nn import MlpSpec
 
 
@@ -34,10 +32,11 @@ def random_hypergraph(rng, n_max=12, m_max=8, uniform=None):
     return from_edge_list(n, edges)
 
 
-def aggregate_with_pair_order(pool, params, src, pn, pe, num, order, prefix="f"):
+def aggregate_with_pair_order(pool, params, src, view, order, prefix="f"):
     """Evaluate a pool with the incidence pairs visited in a given order;
     permutation invariance means the result must not depend on it."""
-    return pool.aggregate(params, src, pn[order], pe[order], num, prefix)
+    shuffled = segment_view(view.src[order], view.seg[order], view.count)
+    return pool.aggregate(params, src, shuffled, prefix)
 
 
 class TestFixedPools:
@@ -79,10 +78,9 @@ class TestFixedPools:
 
     def test_weighted_sum_pool(self):
         hg = from_edge_list(3, [[0, 1], [1, 2]])
-        pn, pe = incidence_pairs(hg)
         pool = WeightedSumPool(np.array([1.0, 2.0, 3.0, 4.0]), np.array([10.0, 1.0]))
         x = ad.constant(np.array([[1.0], [1.0], [1.0]]))
-        out = pool.aggregate({}, x, pn, pe, 2, "w")
+        out = pool.aggregate({}, x, hg.incidence.v2e, "w")
         np.testing.assert_array_equal(out.value, [[30.0], [7.0]])
 
 
@@ -99,9 +97,8 @@ class TestLearnedPools:
         }
         rng = np.random.default_rng(1)
         x = ad.constant(rng.normal(size=(5, 3)))
-        pn, pe = incidence_pairs(hg)
-        got = pool.aggregate(params, x, pn, pe, hg.num_edges, "f")
-        want = SumPool().aggregate({}, x, pn, pe, hg.num_edges, "f")
+        got = pool.aggregate(params, x, hg.incidence.v2e, "f")
+        want = SumPool().aggregate({}, x, hg.incidence.v2e, "f")
         np.testing.assert_array_equal(got.value, want.value)
 
     def test_singleton_attention_weight_is_one(self):
@@ -134,7 +131,7 @@ class TestLearnedPools:
         pool = SetTransformerPool(heads=1, head_dim=4)
         params = pool.init_params(rng, 3, "f")
         x = ad.constant(rng.normal(size=(hg.n, 3)))
-        pn, pe = incidence_pairs(hg)
+        pn, pe = hg.incidence.nodes, hg.incidence.edges
         k = nn.mlp_forward(MlpSpec((3, 4), bias=False), params, x, "f.key0")
         logits = ad.row_sum(ad.mul(ad.gather_rows(k, pn), ad.slice_cols(params["f.seed"], 0, 4)))
         w = ad.segment_softmax(logits, pe, hg.num_edges).value
@@ -149,9 +146,9 @@ class TestLearnedPools:
         p1 = ds.init_params(rng, 2, "f")
         p2 = st.init_params(rng, 2, "g")
         with pytest.raises(EmptyMultisetError):
-            alldeepsets_f(ds, p1, np.zeros((0, 2)))
+            ds(p1, np.zeros((0, 2)))
         with pytest.raises(EmptyMultisetError):
-            allsettransformer_f(st, p2, np.zeros((0, 2)), prefix="g")
+            st(p2, np.zeros((0, 2)), prefix="g")
 
     def test_deepsets_gradcheck(self):
         rng = nn.make_rng(5)
@@ -161,7 +158,7 @@ class TestLearnedPools:
         c = rng.normal(size=(1, 2))
 
         def build():
-            return ad.sum_all(ad.mul(alldeepsets_f(pool, params, rows), ad.constant(c)))
+            return ad.sum_all(ad.mul(pool(params, rows), ad.constant(c)))
 
         assert nn.grad_check(build, params).max_rel_err < 1e-4
 
@@ -174,7 +171,7 @@ class TestLearnedPools:
 
         def build():
             return ad.sum_all(
-                ad.mul(allsettransformer_f(pool, params, rows, prefix="f"), ad.constant(c))
+                ad.mul(pool(params, rows, prefix="f"), ad.constant(c))
             )
 
         assert nn.grad_check(build, params).max_rel_err < 1e-4
@@ -199,12 +196,10 @@ class TestPermutationInvariance:
             hg = random_hypergraph(rng, n_max=9)
             params = pool.init_params(rng, 3, "f") if needs_params else {}
             x = ad.constant(rng.uniform(0.5, 1.5, size=(hg.n, 3)))
-            pn, pe = incidence_pairs(hg)
-            base = pool.aggregate(params, x, pn, pe, hg.num_edges, "f").value
-            order = rng.permutation(len(pn))
-            shuffled = aggregate_with_pair_order(
-                pool, params, x, pn, pe, hg.num_edges, order
-            ).value
+            view = hg.incidence.v2e
+            base = pool.aggregate(params, x, view, "f").value
+            order = rng.permutation(len(view.src))
+            shuffled = aggregate_with_pair_order(pool, params, x, view, order).value
             denom = max(np.abs(base).max(), 1e-12)
             assert np.abs(base - shuffled).max() / denom < 1e-9
 
@@ -306,6 +301,53 @@ class TestNetwork:
         z_prev = np.array([[10.0], [20.0]])
         z = layer.v2e_forward({}, hg, x, z_prev=z_prev)
         np.testing.assert_array_equal(z.value, [[3.0, 10.0], [5.0, 20.0]])
+
+    @pytest.mark.parametrize(
+        "make_e2v",
+        [
+            lambda i: SumPool(),
+            # e2v input widths: 2 (layer 0), then v2e(4) + previous z(2) = 6
+            lambda i: DeepSetsPool(MlpSpec(((2, 6)[i], 3)), MlpSpec((3, 2))),
+        ],
+        ids=["sum", "deepsets"],
+    )
+    def test_two_layer_second_argument_network(self, make_e2v):
+        rng = nn.make_rng(11)
+        hg = from_edge_list(5, [[0, 1, 2], [1, 3], [2, 3, 4]])
+        layers = [
+            AllSetLayer(SumPool(), make_e2v(i), use_second_argument=True)
+            for i in range(2)
+        ]
+        net = AllSetNetwork(in_dim=2, num_classes=3, layers=layers)
+        params = net.init_params(rng)
+        x = rng.normal(size=(5, 2))
+        c = rng.normal(size=(5, 3))
+        assert net.forward(params, hg, x).shape == (5, 3)
+
+        def build():
+            return ad.sum_all(ad.mul(net.forward(params, hg, x), ad.constant(c)))
+
+        assert nn.grad_check(build, params).max_rel_err < 1e-4
+
+    def test_unaccounted_initial_edge_state_rejected(self):
+        hg = from_edge_list(3, [[0, 1], [1, 2]])
+        net = AllSetNetwork(
+            in_dim=1, num_classes=2,
+            layers=[AllSetLayer(SumPool(), SumPool(), use_second_argument=True)],
+        )
+        params = net.init_params(nn.make_rng(12))
+        with pytest.raises(ad.ShapeMismatchError):
+            net.forward(params, hg, np.ones((3, 1)), z0=np.ones((2, 1)))
+
+    def test_training_dropout_without_rng_rejected(self):
+        hg = from_edge_list(3, [[0, 1], [1, 2]])
+        net = AllSetNetwork(
+            in_dim=2, num_classes=2, layers=[AllSetLayer(SumPool(), SumPool())],
+            dropout=0.5,
+        )
+        params = net.init_params(nn.make_rng(13))
+        with pytest.raises(ValueError):
+            net.forward(params, hg, np.ones((3, 2)), training=True)
 
     def test_multiset_function_factory(self):
         assert isinstance(multiset_function("sum"), SumPool)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgx import hypergraph as hgm
 from hgx.hypergraph import (
     EmptyEdgeError,
     HgParseError,
     NodeIdOutOfRangeError,
+    NodeIdTypeError,
     NonpositiveWeightError,
     NotUniformError,
     TooLargeError,
@@ -14,10 +17,9 @@ from hgx.hypergraph import (
     clique_expansion_incidence,
     format_hg,
     from_edge_list,
-    incidence_index,
     incidence_matrix,
+    incidence_pairs,
     parse_hg,
-    star_expansion,
     stats,
 )
 
@@ -63,27 +65,153 @@ class TestConstruction:
         with pytest.raises(NonpositiveWeightError):
             from_edge_list(2, [[0, 1]], weights=[-2.0])
 
+    @pytest.mark.parametrize("bad", [0.9, 1.0, np.float64(1.0), "1"])
+    def test_non_integer_node_id_rejected(self, bad):
+        with pytest.raises(NodeIdTypeError) as exc:
+            from_edge_list(3, [[0, 2], [bad, 2]])
+        assert str(exc.value) == f"edge 1: non-integer node id {bad!r}"
+
+    def test_integer_types_accepted(self):
+        hg = from_edge_list(3, [[np.int64(1), 2], (v for v in [np.int32(0), 1])])
+        assert hg.edges == ((1, 2), (0, 1))
+        assert all(type(v) is int for e in hg.edges for v in e)
+
     def test_duplicate_edges_kept(self):
         hg = from_edge_list(2, [[0, 1], [0, 1]])
         assert hg.num_edges == 2
         assert clique_expansion_incidence(hg)[0, 1] == 2.0
 
 
-class TestIncidenceIndex:
-    def test_dual_consistency(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            hg = random_hypergraph(rng)
-            idx = incidence_index(hg)
-            for v in range(hg.n):
-                for e in idx.node_to_edges[v]:
-                    assert v in idx.edge_to_nodes[e]
-            for e, members in enumerate(idx.edge_to_nodes):
-                for v in members:
-                    assert e in idx.node_to_edges[v]
-            total_by_node = sum(len(es) for es in idx.node_to_edges)
-            total_by_edge = sum(len(vs) for vs in idx.edge_to_nodes)
-            assert total_by_node == total_by_edge
+def loop_incidence_pairs(hg):
+    """Reference: the original loop that listed the incidence pairs."""
+    nodes, edges = [], []
+    for e, members in enumerate(hg.edges):
+        nodes.extend(members)
+        edges.extend([e] * len(members))
+    return (np.asarray(nodes, dtype=np.int64), np.asarray(edges, dtype=np.int64))
+
+
+def loop_degrees(hg):
+    """Reference: the original per-edge degree loop."""
+    d = np.zeros(hg.n, dtype=np.int64)
+    for e in hg.edges:
+        d[list(e)] += 1
+    return d
+
+
+def loop_segment_sizes(seg, num):
+    """Reference: the pair count per segment as pools once computed it."""
+    sizes = np.zeros(num)
+    np.add.at(sizes, seg, 1.0)
+    return sizes
+
+
+@st.composite
+def hypergraphs(draw):
+    """Small hypergraphs with isolated nodes, duplicate edges, zero edges
+    and optional weights."""
+    n = draw(st.integers(0, 9))
+    edges = []
+    if n:
+        edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=5)
+        edges = draw(st.lists(edge, max_size=7))
+        if edges and draw(st.booleans()):
+            edges.append(list(draw(st.sampled_from(edges))))
+    weights = None
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.floats(0.1, 10.0), min_size=len(edges),
+                                max_size=len(edges)))
+    return from_edge_list(n, edges, weights)
+
+
+def cached_arrays(inc):
+    views = (inc.v2e, inc.e2v)
+    return [inc.nodes, inc.edges, inc.degrees, inc.edge_sizes, inc.weights] + [
+        a for v in views for a in (v.src, v.seg, v.sizes, v.nonempty)
+    ]
+
+
+def assert_same(got, want):
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+class TestIncidence:
+    def test_single_edge_pairs(self):
+        inc = from_edge_list(2, [[0, 1]]).incidence
+        assert list(zip(inc.nodes.tolist(), inc.edges.tolist())) == [(0, 0), (1, 0)]
+
+    def test_no_edges(self):
+        hg = from_edge_list(4, [])
+        inc = hg.incidence
+        assert inc.nodes.shape == inc.edges.shape == (0,)
+        assert_same(inc.degrees, np.zeros(4, dtype=np.int64))
+        assert_same(inc.e2v.nonempty, np.zeros((4, 1)))
+        assert inc.v2e.count == 0 and inc.v2e.nonempty.shape == (0, 1)
+
+    def test_views_are_dual(self):
+        hg = from_edge_list(5, [[0, 1, 4], [1, 2], [1, 2]])
+        inc = hg.incidence
+        assert_same(inc.v2e.src, inc.e2v.seg)
+        assert_same(inc.v2e.seg, inc.e2v.src)
+        assert (inc.v2e.count, inc.e2v.count) == (hg.num_edges, hg.n)
+        for v, e in zip(inc.nodes.tolist(), inc.edges.tolist()):
+            assert v in hg.edges[e]
+        assert_same(inc.e2v.sizes, inc.degrees.astype(np.float64))
+        assert_same(inc.v2e.sizes, inc.edge_sizes.astype(np.float64))
+        assert inc.e2v.nonempty[:, 0].tolist() == [1.0, 1.0, 1.0, 0.0, 1.0]
+
+    def test_shims_read_the_cache(self):
+        hg = from_edge_list(3, [[0, 1], [1, 2]], weights=[2.0, 0.5])
+        inc = hg.incidence
+        assert hg.degrees() is inc.degrees and hg.edge_sizes() is inc.edge_sizes
+        nodes, edges = incidence_pairs(hg)
+        assert nodes is inc.nodes and edges is inc.edges
+        assert_same(inc.weights, np.array([2.0, 0.5]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(hypergraphs())
+    def test_matches_loop_reference(self, hg):
+        inc = hg.incidence
+        nodes, edges = loop_incidence_pairs(hg)
+        degrees = loop_degrees(hg)
+        sizes = np.array([len(e) for e in hg.edges], dtype=np.int64)
+        assert_same(inc.nodes, nodes)
+        assert_same(inc.edges, edges)
+        assert_same(inc.degrees, degrees)
+        assert_same(inc.edge_sizes, sizes)
+        assert int(inc.degrees.sum()) == int(inc.edge_sizes.sum()) == len(nodes)
+        weights = np.ones(hg.num_edges) if hg.weights is None else np.asarray(hg.weights)
+        assert_same(inc.weights, weights)
+        for view, src, seg, num in ((inc.v2e, nodes, edges, hg.num_edges),
+                                    (inc.e2v, edges, nodes, hg.n)):
+            assert_same(view.src, src)
+            assert_same(view.seg, seg)
+            assert view.count == num
+            want = loop_segment_sizes(seg, num)
+            assert_same(view.sizes, want)
+            assert_same(view.nonempty, (want > 0).astype(np.float64).reshape(-1, 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(hypergraphs(), st.randoms(use_true_random=False))
+    def test_relabelling_permutes_degrees_and_masks(self, hg, rnd):
+        perm = list(range(hg.n))
+        rnd.shuffle(perm)
+        relabelled = from_edge_list(hg.n, [[perm[v] for v in e] for e in hg.edges])
+        inc, rel = hg.incidence, relabelled.incidence
+        assert_same(rel.degrees[perm], inc.degrees)
+        assert_same(rel.e2v.sizes[perm], inc.e2v.sizes)
+        assert_same(rel.e2v.nonempty[perm], inc.e2v.nonempty)
+        assert_same(rel.edge_sizes, inc.edge_sizes)
+        assert_same(rel.v2e.nonempty, inc.v2e.nonempty)
+
+    @settings(max_examples=50, deadline=None)
+    @given(hypergraphs())
+    def test_built_once_and_read_only(self, hg):
+        assert hg.incidence is hg.incidence
+        for a in cached_arrays(hg.incidence):
+            with pytest.raises(ValueError):
+                a[...] = 0
 
 
 class TestStats:
@@ -204,20 +332,6 @@ class TestAdjacencyTensor:
                 np.testing.assert_allclose(
                     marg, clique_expansion_adjacency(hg), atol=1e-12
                 )
-
-
-class TestStarExpansion:
-    def test_single_edge(self):
-        assert star_expansion(from_edge_list(2, [[0, 1]])) == [(0, 0), (1, 0)]
-
-    def test_pair_count_is_size_total(self):
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            hg = random_hypergraph(rng)
-            assert len(star_expansion(hg)) == int(hg.edge_sizes().sum())
-
-    def test_no_edges(self):
-        assert star_expansion(from_edge_list(4, [])) == []
 
 
 class TestHgFormat:
