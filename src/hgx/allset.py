@@ -12,7 +12,9 @@ Aggregations read the hypergraph's cached incidence
 (:attr:`~hgx.hypergraph.Hypergraph.incidence`): each half takes one of its
 directed views, gathers rows from the source side and reduces them per
 segment, and pools read segment sizes and nonempty masks from that view.
-Empty segments (isolated nodes) produce zero rows.
+Sum-shaped pools reduce with one sparse product by the view's matrix
+(H transposed node->edge, H edge->node) instead of gathering one row per
+pair.  Empty segments (isolated nodes) produce zero rows.
 """
 
 from __future__ import annotations
@@ -69,18 +71,18 @@ class MultisetFunction:
         if rows.shape[0] == 0:
             raise EmptyMultisetError("multiset function applied to an empty multiset")
         n = rows.shape[0]
-        view = segment_view(np.arange(n), np.zeros(n, dtype=np.int64), 1)
+        view = segment_view(np.arange(n), np.zeros(n, dtype=np.int64), 1, n)
         return self.aggregate(params, rows, view, prefix)
 
 
 class SumPool(MultisetFunction):
     def aggregate(self, params, src, view, prefix):
-        return ad.segment_sum(ad.gather_rows(src, view.src), view.seg, view.count)
+        return ad.sparse_matmul(view.matrix, src)
 
 
 class MeanPool(MultisetFunction):
     def aggregate(self, params, src, view, prefix):
-        total = ad.segment_sum(ad.gather_rows(src, view.src), view.seg, view.count)
+        total = ad.sparse_matmul(view.matrix, src)
         sizes = np.maximum(view.sizes, 1.0)
         return ad.mul(total, ad.constant(1.0 / sizes.reshape(-1, 1)))
 
@@ -148,7 +150,7 @@ class DeepSetsPool(MultisetFunction):
 
     def aggregate(self, params, src, view, prefix):
         h = nn.mlp_forward(self.inner, params, src, f"{prefix}.inner")
-        pooled = ad.segment_sum(ad.gather_rows(h, view.src), view.seg, view.count)
+        pooled = ad.sparse_matmul(view.matrix, h)
         out = nn.mlp_forward(self.outer, params, pooled, f"{prefix}.outer")
         return ad.mul(out, ad.constant(view.nonempty))
 
@@ -290,7 +292,11 @@ class AllSetLayer:
         """(edge-state width, node-state width) of this layer's output for
         ``in_dim`` input columns and a previous edge state of
         ``z_prev_dim`` columns (0 when there is none); both account for
-        the optional second-argument concatenation."""
+        the optional second-argument concatenation.  The per-aggregator
+        variant returns no edge state and node states as wide as its
+        input."""
+        if self.variant == "per_aggregator":
+            return 0, in_dim
         z_dim = self.v2e.out_dim(in_dim)
         if self.use_second_argument:
             z_dim += z_prev_dim

@@ -3,8 +3,14 @@
 Every value is a 2-D float64 array (scalars are 1x1, vectors are single
 rows).  Operations record their inputs and a vector-Jacobian closure per
 input; ``Tensor.backward`` walks the recorded graph once in reverse
-topological order.  All reductions use fixed sequential numpy order, so
-repeated runs with identical inputs produce bit-identical results.
+topological order.
+
+Segment sums (the forward of :func:`segment_sum`, the backward of
+:func:`gather_rows`, the sums inside :func:`segment_softmax`) and
+:func:`sparse_matmul` are products with a 0/1 CSR matrix whose rows list
+their pairs in pair order.  scipy's CSR kernel starts each output row at
+zero and adds the rows in that stored order, so the results are the
+same sequential sums, bit-identical from run to run.
 
 A graph is confined to the thread that built it.  Independent graphs
 (e.g. parallel training runs) share nothing and may run concurrently.
@@ -15,6 +21,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
+from scipy import sparse
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -347,26 +354,51 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
     return Tensor(a.value[:, lo:hi], _parents=(a,), _vjps=(vjp,))
 
 
+def _segment_matrix(seg, count: int, src=None, src_count: Optional[int] = None):
+    """The ``(count, src_count)`` 0/1 CSR matrix whose row ``s`` lists
+    ``src[i]`` for every pair ``i`` with ``seg[i] == s``, in increasing
+    ``i``.  ``src`` defaults to the pair index itself, with
+    ``src_count = len(seg)``."""
+    seg = np.asarray(seg, dtype=np.int64)
+    # a stable argsort of seg; the keys (segment, pair) are unique, which
+    # lets numpy's default sort run several times faster than its stable one
+    order = np.argsort(seg * len(seg) + np.arange(len(seg)))
+    indptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(seg, minlength=count), out=indptr[1:])
+    if src is None:
+        cols, src_count = order, len(seg)
+    else:
+        cols = np.asarray(src, dtype=np.int64)[order]
+    data = np.ones(len(seg))
+    return sparse.csr_array((data, cols, indptr), shape=(count, src_count))
+
+
+def sparse_matmul(m, a: Tensor) -> Tensor:
+    """Product ``m @ a`` with a constant scipy sparse matrix ``m``; the
+    backward pass is ``m.T @ g``."""
+    if m.shape[1] != a.shape[0]:
+        raise ShapeMismatchError(f"sparse_matmul {m.shape} @ {a.shape}")
+    return Tensor(m @ a.value, _parents=(a,), _vjps=(lambda g: m.T @ g,))
+
+
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows ``a[idx]``; the backward pass scatter-adds."""
+    """Select rows ``a[idx]``; the backward pass sums the gradient rows
+    of each source row in pair order."""
     idx = np.asarray(idx, dtype=np.int64)
-
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, idx, g)
-        return out
-
-    return Tensor(a.value[idx], _parents=(a,), _vjps=(vjp,))
+    return Tensor(
+        a.value[idx],
+        _parents=(a,),
+        _vjps=(lambda g: _segment_matrix(idx, a.shape[0]) @ g,),
+    )
 
 
 def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of ``a`` into ``num_segments`` buckets.  Empty segments
-    yield zero rows."""
+    """Sum rows of ``a`` into ``num_segments`` buckets in row order.
+    Empty segments yield zero rows."""
     seg = np.asarray(segment_ids, dtype=np.int64)
     if seg.shape[0] != a.shape[0]:
         raise ShapeMismatchError("one segment id per row required")
-    out = np.zeros((num_segments, a.shape[1]))
-    np.add.at(out, seg, a.value)
+    out = _segment_matrix(seg, num_segments) @ a.value
     return Tensor(out, _parents=(a,), _vjps=(lambda g: g[seg],))
 
 
@@ -377,8 +409,7 @@ def _leave_one_out_prod(values: np.ndarray, seg: np.ndarray, num: int) -> np.nda
     nonzero = np.where(is_zero, 1.0, values)
     prod_nz = np.ones((num, values.shape[1]))
     np.multiply.at(prod_nz, seg, nonzero)
-    zero_count = np.zeros((num, values.shape[1]))
-    np.add.at(zero_count, seg, is_zero.astype(np.float64))
+    zero_count = _segment_matrix(seg, num) @ is_zero.astype(np.float64)
     zc = zero_count[seg]
     loo = np.where(
         zc == 0,
@@ -426,13 +457,11 @@ def segment_softmax(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Te
     m = np.full((num_segments, a.shape[1]), -np.inf)
     np.maximum.at(m, seg, a.value)
     e = np.exp(a.value - m[seg])
-    denom = np.zeros((num_segments, a.shape[1]))
-    np.add.at(denom, seg, e)
-    out = e / denom[seg]
+    sums = _segment_matrix(seg, num_segments)
+    out = e / (sums @ e)[seg]
 
     def vjp(g):
-        dot = np.zeros((num_segments, a.shape[1]))
-        np.add.at(dot, seg, g * out)
+        dot = sums @ (g * out)
         return out * (g - dot[seg])
 
     return Tensor(out, _parents=(a,), _vjps=(vjp,))

@@ -10,7 +10,9 @@ Every aggregation reads one :class:`Incidence` per hypergraph: the
 node-edge pairs, degrees, edge sizes and edge weights, plus the two
 directed views a layer reduces over (node rows into edges, edge rows into
 nodes).  It is built on first use of :attr:`Hypergraph.incidence` and
-cached on the instance; its arrays are read-only.
+cached on the instance; its arrays are read-only.  Each view's sparse
+matrix (H transposed for node rows into edges, H for edge rows into
+nodes) is built on its own first use and cached on the view.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .autodiff import _segment_matrix
+
 
 class HypergraphError(ValueError):
     """Base class for hypergraph construction/validation failures."""
@@ -34,7 +38,8 @@ class NodeIdOutOfRangeError(HypergraphError):
 
 
 class NodeIdTypeError(HypergraphError):
-    """A node id that is not an integer (``operator.index`` rejects it)."""
+    """A node id that is not an integer (``operator.index`` rejects it)
+    or is a ``bool``."""
 
 
 class EmptyEdgeError(HypergraphError):
@@ -112,24 +117,34 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SegmentView:
     """One direction of an incidence: pair ``i`` gathers source row
-    ``src[i]`` and reduces it into segment ``seg[i]`` of ``count``.
-    ``sizes`` counts the pairs per segment (float64) and ``nonempty`` is
-    the ``(count, 1)`` float64 mask of segments with at least one pair."""
+    ``src[i]`` (of ``src_count`` source rows) and reduces it into segment
+    ``seg[i]`` of ``count``.  ``sizes`` counts the pairs per segment
+    (float64) and ``nonempty`` is the ``(count, 1)`` float64 mask of
+    segments with at least one pair."""
 
     src: np.ndarray
     seg: np.ndarray
     count: int
+    src_count: int
     sizes: np.ndarray
     nonempty: np.ndarray
 
+    @cached_property
+    def matrix(self):
+        """The ``(count, src_count)`` 0/1 CSR matrix of the view, built on
+        first use: row ``s`` lists the source rows of the pairs in segment
+        ``s`` in pair order, so ``matrix @ x`` sums them in that order."""
+        return _segment_matrix(self.seg, self.count, self.src, self.src_count)
 
-def segment_view(src, seg, count: int) -> SegmentView:
-    """Build a read-only view from arbitrary pair arrays."""
+
+def segment_view(src, seg, count: int, src_count: int) -> SegmentView:
+    """Build a read-only view from arbitrary pair arrays whose sources
+    index ``src_count`` rows."""
     seg = _readonly(np.array(seg, dtype=np.int64))
     sizes = _readonly(np.bincount(seg, minlength=count).astype(np.float64))
     nonempty = _readonly((sizes > 0).astype(np.float64).reshape(-1, 1))
     src = _readonly(np.array(src, dtype=np.int64))
-    return SegmentView(src, seg, int(count), sizes, nonempty)
+    return SegmentView(src, seg, int(count), int(src_count), sizes, nonempty)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +167,7 @@ def _build_incidence(hg: Hypergraph) -> Incidence:
     sizes = np.fromiter(map(len, hg.edges), dtype=np.int64, count=hg.num_edges)
     nodes = np.fromiter(itertools.chain.from_iterable(hg.edges), dtype=np.int64)
     edges = np.repeat(np.arange(hg.num_edges, dtype=np.int64), sizes)
-    v2e = segment_view(nodes, edges, hg.num_edges)
+    v2e = segment_view(nodes, edges, hg.num_edges, hg.n)
     weights = np.ones(hg.num_edges) if hg.weights is None else np.array(hg.weights)
     return Incidence(
         nodes=v2e.src,
@@ -161,7 +176,7 @@ def _build_incidence(hg: Hypergraph) -> Incidence:
         edge_sizes=_readonly(sizes),
         weights=_readonly(weights),
         v2e=v2e,
-        e2v=segment_view(edges, nodes, hg.n),
+        e2v=segment_view(edges, nodes, hg.n, hg.num_edges),
     )
 
 
@@ -173,8 +188,8 @@ def from_edge_list(
     """Validate and canonicalize raw edge data into a :class:`Hypergraph`.
 
     Node ids inside each raw hyperedge are deduplicated and sorted.  Edges
-    that are empty after deduplication are rejected, as are non-integer
-    and out-of-range ids and nonpositive weights.
+    that are empty after deduplication are rejected, as are non-integer,
+    boolean and out-of-range ids and nonpositive weights.
     """
     if n < 0:
         raise HypergraphError(f"node count must be >= 0, got {n}")
@@ -188,9 +203,16 @@ def from_edge_list(
             raise NodeIdTypeError(f"edge {k}: non-integer node id {bad!r}") from None
         if not ids:
             raise EmptyEdgeError(f"edge {k} is empty after deduplication")
-        if ids[0] < 0 or ids[-1] >= n:
-            bad = ids[0] if ids[0] < 0 else ids[-1]
-            raise NodeIdOutOfRangeError(f"edge {k}: node id {bad} not in [0, {n})")
+        # a bool id passes operator.index as 0 or 1, so members are
+        # type-checked only when the smallest id is at most 1; the common
+        # edge costs the same two comparisons as the range check alone
+        if ids[0] <= 1 or ids[-1] >= n:
+            if ids[0] < 0 or ids[-1] >= n:
+                bad = ids[0] if ids[0] < 0 else ids[-1]
+                raise NodeIdOutOfRangeError(f"edge {k}: node id {bad} not in [0, {n})")
+            bad = next((v for v in members if isinstance(v, bool)), None)
+            if bad is not None:
+                raise NodeIdTypeError(f"edge {k}: boolean node id {bad!r}")
         canon.append(tuple(ids))
     wtup = None
     if weights is not None:

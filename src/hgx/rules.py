@@ -180,9 +180,9 @@ def hgnn_layer(hg: Hypergraph, x, params: Dict[str, Tensor]) -> Tensor:
     edge_scale = (inc.weights / inc.v2e.sizes).reshape(-1, 1)
 
     scaled = ad.mul(xt, ad.constant(inv_sqrt.reshape(-1, 1)))
-    z = ad.segment_sum(ad.gather_rows(scaled, inc.nodes), inc.edges, hg.num_edges)
+    z = ad.sparse_matmul(inc.v2e.matrix, scaled)
     z = ad.mul(z, ad.constant(edge_scale))
-    agg = ad.segment_sum(ad.gather_rows(z, inc.edges), inc.nodes, hg.n)
+    agg = ad.sparse_matmul(inc.e2v.matrix, z)
     agg = ad.mul(agg, ad.constant(inv_sqrt.reshape(-1, 1)))
     pre = ad.add(ad.matmul(agg, params["hgnn.theta"]), params["hgnn.bias"])
     return ad.mul(ad.relu(pre), ad.constant(inc.e2v.nonempty))
@@ -283,8 +283,7 @@ def hnhn_layer(
     deg = inc.e2v.sizes
 
     deg_beta = np.power(deg, beta, where=deg > 0, out=np.zeros_like(deg))
-    d_el = np.zeros(hg.num_edges)
-    np.add.at(d_el, pe, deg_beta[pn])
+    d_el = np.bincount(pe, weights=deg_beta[pn], minlength=hg.num_edges)
     if hg.num_edges and not (d_el > 0).all():
         raise ZeroNormalizerError("edge-side normalizer vanished")
     act = {"relu": ad.relu, "identity": lambda t: t}[activation]
@@ -297,11 +296,10 @@ def hnhn_layer(
 
     size_alpha = np.power(inc.v2e.sizes, alpha)
     if node_normalizer == "as_printed":
-        d_vl = np.zeros(hg.n)
-        np.add.at(d_vl, pn, np.power(deg, alpha, where=deg > 0, out=np.zeros_like(deg))[pn])
+        pair_w = np.power(deg, alpha, where=deg > 0, out=np.zeros_like(deg))[pn]
     else:
-        d_vl = np.zeros(hg.n)
-        np.add.at(d_vl, pn, size_alpha[pe])
+        pair_w = size_alpha[pe]
+    d_vl = np.bincount(pn, weights=pair_w, minlength=hg.n)
     inv_dvl = np.divide(1.0, d_vl, out=np.zeros_like(d_vl), where=d_vl > 0)
     pair_z = ad.mul(ad.gather_rows(z_out, pe), ad.constant(size_alpha[pe].reshape(-1, 1)))
     node_sum = ad.segment_sum(pair_z, pn, hg.n)
@@ -380,13 +378,13 @@ def hypersage_layer(
 
     xp = xt if p == 1 else ad.power(xt, float(p))
     edge_mean = ad.mul(
-        ad.segment_sum(ad.gather_rows(xp, inc.nodes), inc.edges, hg.num_edges),
+        ad.sparse_matmul(inc.v2e.matrix, xp),
         ad.constant((1.0 / inc.v2e.sizes).reshape(-1, 1)),
     )
     # z_e = edge_mean ** (1/p); z_e**p reappears immediately, so reuse edge_mean
     inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
     node_mean = ad.mul(
-        ad.segment_sum(ad.gather_rows(edge_mean, inc.edges), inc.nodes, hg.n),
+        ad.sparse_matmul(inc.e2v.matrix, edge_mean),
         ad.constant(inv_deg.reshape(-1, 1)),
     )
     pooled = node_mean if p == 1 else ad.power(node_mean, 1.0 / p)
@@ -408,7 +406,7 @@ def z_edge_state(hg: Hypergraph, x, p: int = 1) -> Tensor:
     inc = hg.incidence
     xp = xt if p == 1 else ad.power(xt, float(p))
     mean = ad.mul(
-        ad.segment_sum(ad.gather_rows(xp, inc.nodes), inc.edges, hg.num_edges),
+        ad.sparse_matmul(inc.v2e.matrix, xp),
         ad.constant((1.0 / inc.v2e.sizes).reshape(-1, 1)),
     )
     return mean if p == 1 else ad.power(mean, 1.0 / p)

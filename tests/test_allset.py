@@ -35,7 +35,7 @@ def random_hypergraph(rng, n_max=12, m_max=8, uniform=None):
 def aggregate_with_pair_order(pool, params, src, view, order, prefix="f"):
     """Evaluate a pool with the incidence pairs visited in a given order;
     permutation invariance means the result must not depend on it."""
-    shuffled = segment_view(view.src[order], view.seg[order], view.count)
+    shuffled = segment_view(view.src[order], view.seg[order], view.count, view.src_count)
     return pool.aggregate(params, src, shuffled, prefix)
 
 
@@ -248,6 +248,19 @@ class TestPerAggregatorVariant:
         x = np.array([[1.0], [10.0], [100.0]])
         _, out = layer.forward({}, hg, x)
         np.testing.assert_array_equal(out.value, rules.ce_prop_a(hg, x))
+
+
+    def test_network_chains_into_second_argument_layer(self):
+        hg = from_edge_list(5, [[0, 1, 2], [2, 3], [1, 3, 4]])
+        x = np.arange(10.0).reshape(5, 2)
+        layers = [
+            AllSetLayer(SumPool(), SumPool(), variant="per_aggregator"),
+            AllSetLayer(SumPool(), SumPool(), use_second_argument=True),
+        ]
+        assert layers[0].widths(2) == (0, 2)
+        net = AllSetNetwork(in_dim=2, num_classes=3, layers=layers)
+        params = net.init_params(nn.make_rng(4))
+        assert net.forward(params, hg, x).shape == (5, 3)
 
 
 class TestNetwork:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from hgx import autodiff as ad
+from hgx import nn
 from hgx.autodiff import Tensor
 
 
@@ -262,3 +266,85 @@ class TestGradients:
         t = ad.parameter(np.ones((3, 3)))
         rng = np.random.default_rng(0)
         assert ad.dropout(t, 0.0, rng) is t
+
+
+# --- segment sums against the np.add.at scatter they replaced ---------------
+
+
+def ref_segment_sum(values, seg, num):
+    """Reference: scatter-add rows into segments in row order."""
+    out = np.zeros((num, values.shape[1]))
+    np.add.at(out, seg, values)
+    return out
+
+
+def ref_segment_softmax(values, seg, num, g):
+    """Reference: segment softmax and its vector-Jacobian product, both
+    summed by scatter-add."""
+    m = np.full((num, values.shape[1]), -np.inf)
+    np.maximum.at(m, seg, values)
+    e = np.exp(values - m[seg])
+    out = e / ref_segment_sum(e, seg, num)[seg]
+    return out, out * (g - ref_segment_sum(g * out, seg, num)[seg])
+
+
+@st.composite
+def segment_cases(draw):
+    """Unsorted, repeated segment ids with empty segments and possibly
+    zero pairs, plus pair values (some exactly zero) and a pair gradient."""
+    num = draw(st.integers(0, 6))
+    pairs = draw(st.integers(0, 40)) if num else 0
+    seg = np.array(draw(st.lists(st.integers(0, max(num - 1, 0)),
+                                 min_size=pairs, max_size=pairs)), dtype=np.int64)
+    width = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(pairs, width)) * rng.choice([0.0, 1.0, 1e6], size=(pairs, 1))
+    return seg, num, values, rng.normal(size=(pairs, width))
+
+
+class TestSegmentPrimitives:
+    @settings(max_examples=200, deadline=None)
+    @given(segment_cases())
+    def test_segment_sum_matches_scatter(self, case):
+        seg, num, values, _ = case
+        out = ad.segment_sum(Tensor(values), seg, num).value
+        assert out.shape == (num, values.shape[1])
+        assert np.array_equal(out, ref_segment_sum(values, seg, num))
+
+    @settings(max_examples=200, deadline=None)
+    @given(segment_cases())
+    def test_gather_rows_backward_matches_scatter(self, case):
+        idx, rows, _, g = case
+        a = ad.parameter(np.zeros((rows, g.shape[1])))
+        out = ad.gather_rows(a, idx)
+        grad = out._vjps[0](g)
+        assert grad.shape == a.shape
+        assert np.array_equal(grad, ref_segment_sum(g, idx, rows))
+
+    @settings(max_examples=200, deadline=None)
+    @given(segment_cases())
+    def test_segment_softmax_matches_scatter(self, case):
+        seg, num, values, g = case
+        out = ad.segment_softmax(Tensor(values), seg, num)
+        want, want_grad = ref_segment_softmax(values, seg, num, g)
+        assert np.array_equal(out.value, want)
+        assert np.array_equal(out._vjps[0](g), want_grad)
+
+    @settings(max_examples=50, deadline=None)
+    @given(segment_cases(), st.integers(1, 4))
+    def test_sparse_matmul_grad_check(self, case, cols):
+        seg, num, _, g = case
+        rng = np.random.default_rng(len(seg) * 7 + num)
+        src = rng.integers(0, cols, size=len(seg))
+        m = sparse.csr_array((g[:, 0], (seg, src)), shape=(num, cols))
+        a = ad.parameter(rng.normal(size=(cols, 2)))
+        c = ad.constant(rng.normal(size=(num, 2)))
+        out = ad.sparse_matmul(m, a)
+        np.testing.assert_allclose(out.value, m.toarray() @ a.value, rtol=1e-12, atol=1e-12)
+        report = nn.grad_check(lambda: ad.sum_all(ad.mul(ad.sparse_matmul(m, a), c)),
+                               {"a": a})
+        assert report.max_rel_err < 1e-6, str(report)
+
+    def test_sparse_matmul_shape_mismatch(self):
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.sparse_matmul(sparse.csr_array((2, 3)), Tensor(np.ones((4, 1))))

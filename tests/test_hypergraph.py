@@ -71,6 +71,17 @@ class TestConstruction:
             from_edge_list(3, [[0, 2], [bad, 2]])
         assert str(exc.value) == f"edge 1: non-integer node id {bad!r}"
 
+    @pytest.mark.parametrize("edge", [[True, 2], [0, False], [1, True]])
+    def test_bool_node_id_rejected(self, edge):
+        bad = next(v for v in edge if isinstance(v, bool))
+        with pytest.raises(NodeIdTypeError) as exc:
+            from_edge_list(3, [[0, 2], edge])
+        assert str(exc.value) == f"edge 1: boolean node id {bad!r}"
+
+    def test_numpy_bool_node_id_rejected(self):
+        with pytest.raises(NodeIdTypeError):
+            from_edge_list(3, [[np.True_, 2]])
+
     def test_integer_types_accepted(self):
         hg = from_edge_list(3, [[np.int64(1), 2], (v for v in [np.int32(0), 1])])
         assert hg.edges == ((1, 2), (0, 1))
@@ -204,6 +215,25 @@ class TestIncidence:
         assert_same(rel.e2v.nonempty[perm], inc.e2v.nonempty)
         assert_same(rel.edge_sizes, inc.edge_sizes)
         assert_same(rel.v2e.nonempty, inc.v2e.nonempty)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hypergraphs(), st.randoms(use_true_random=False))
+    def test_view_matrices_are_the_incidence(self, hg, rnd):
+        inc = hg.incidence
+        assert "matrix" not in vars(inc.v2e) and "matrix" not in vars(inc.e2v)
+        H = incidence_matrix(hg)
+        assert_same(inc.v2e.matrix.toarray(), H.T)
+        assert_same(inc.e2v.matrix.toarray(), H)
+        assert inc.v2e.matrix is inc.v2e.matrix and inc.e2v.matrix is inc.e2v.matrix
+        x = np.random.default_rng(rnd.getrandbits(32)).normal(size=(hg.n, 2))
+        for view, src in ((inc.v2e, x), (inc.e2v, inc.v2e.matrix @ x)):
+            # the product sums the gathered rows in pair order, both ways
+            want = np.zeros((view.count, 2))
+            np.add.at(want, view.seg, src[view.src])
+            assert np.array_equal(view.matrix @ src, want)
+            back = np.zeros_like(src)
+            np.add.at(back, view.src, want[view.seg])
+            assert np.array_equal(view.matrix.T @ want, back)
 
     @settings(max_examples=50, deadline=None)
     @given(hypergraphs())
