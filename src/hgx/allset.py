@@ -9,12 +9,17 @@ MLPs (deep-sets style) or in seeded multihead attention with layer norm
 (set-transformer style).
 
 Aggregations read the hypergraph's cached incidence
-(:attr:`~hgx.hypergraph.Hypergraph.incidence`): each half takes one of its
-directed views, gathers rows from the source side and reduces them per
+(:attr:`~hgx.hypergraph.Hypergraph.incidence`): each half takes one
+directed view, gathers rows from the source side and reduces them per
 segment, and pools read segment sizes and nonempty masks from that view.
+Both layer variants are the same two pool calls: the shared variant over
+``v2e``/``e2v`` (one state per hyperedge), the pair-state variant over
+``pair_views`` (one state per incidence pair, pooled from the edge's
+other members, so its cost grows with sum(|e| (|e| - 1)), not sum(|e|)).
 Sum-shaped pools reduce with one sparse product by the view's matrix
 (H transposed node->edge, H edge->node) instead of gathering one row per
-pair.  Empty segments (isolated nodes) produce zero rows.
+pair.  Empty segments (isolated nodes, 1-member edges' leave-one-out
+multisets) produce zero rows.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ class EmptyMultisetError(ValueError):
 
 
 class PerAggregatorGuardError(ValueError):
-    """Raised when the per-pair layer variant would materialize too many
-    hidden states; it exists for small-instance analysis only."""
+    """Raised when the pair-state layer variant's leave-one-out view,
+    sum(|e| (|e| - 1)) pairs, would exceed the guard."""
 
 
 PER_AGGREGATOR_PAIR_GUARD = 200_000
@@ -88,18 +93,12 @@ class MeanPool(MultisetFunction):
 
 
 class ProductPool(MultisetFunction):
-    """Columnwise product over each segment, optionally scaled by
-    (multiset cardinality - 1); empty segments give zero rows."""
-
-    def __init__(self, scale_by_cardinality_minus_one: bool = False):
-        self.scale_by_cardinality_minus_one = scale_by_cardinality_minus_one
+    """Columnwise product over each segment; empty segments give zero
+    rows (not the empty product 1)."""
 
     def aggregate(self, params, src, view, prefix):
         prod = ad.segment_prod(ad.gather_rows(src, view.src), view.seg, view.count)
-        scale = view.nonempty
-        if self.scale_by_cardinality_minus_one:
-            scale = scale * (view.sizes.reshape(-1, 1) - 1.0)
-        return ad.mul(prod, ad.constant(scale))
+        return ad.mul(prod, ad.constant(view.nonempty))
 
 
 class WeightedSumPool(MultisetFunction):
@@ -257,17 +256,21 @@ def multiset_function(kind: str, **kwargs) -> MultisetFunction:
 
 
 class AllSetLayer:
-    """One full node->edge->node propagation step.
+    """One full node->edge->node propagation step: ``v2e`` pools each
+    multiset of node rows into a state, ``e2v`` pools each node's
+    multiset of states.
 
-    ``variant="shared"`` keeps a single hidden state per hyperedge (the
-    production path).  ``variant="per_aggregator"`` materializes one
-    hidden state per (edge, member) pair with the aggregating node
-    excluded from its own multiset; it supports only the fixed pools and
-    is guarded to small instances, since it exists for analysis.
+    ``variant="shared"`` keeps one state per hyperedge (the production
+    path).  ``variant="per_aggregator"`` keeps one state per (edge,
+    member) pair, pooled from the edge's other members, so each node
+    aggregates states that exclude its own row.  It reads the
+    incidence's ``pair_views``, is differentiable, takes any pools, and
+    returns no edge state; it raises :class:`PerAggregatorGuardError`
+    when sum(|e| (|e| - 1)) exceeds ``PER_AGGREGATOR_PAIR_GUARD``.
 
     The second arguments of both halves (previous edge / node states)
     are dropped by default; ``use_second_argument=True`` concatenates
-    them to the aggregated output when provided.
+    them to the aggregated output when provided (shared variant only).
     """
 
     def __init__(
@@ -279,31 +282,38 @@ class AllSetLayer:
     ):
         if variant not in ("shared", "per_aggregator"):
             raise ValueError(f"unknown variant {variant!r}")
-        if variant == "per_aggregator" and not isinstance(
-            v2e, (SumPool, MeanPool, ProductPool)
-        ):
-            raise ValueError("per-pair variant supports only fixed pools")
+        if variant == "per_aggregator" and use_second_argument:
+            raise ValueError("the per_aggregator variant takes no second argument")
         self.v2e = v2e
         self.e2v = e2v
         self.variant = variant
         self.use_second_argument = use_second_argument
+
+    def _views(self, hg: Hypergraph) -> tuple:
+        """(node rows -> states, states -> nodes) views for the variant."""
+        inc = hg.incidence
+        if self.variant == "shared":
+            return inc.v2e, inc.e2v
+        loo_pairs = int(inc.edge_sizes @ (inc.edge_sizes - 1))
+        if loo_pairs > PER_AGGREGATOR_PAIR_GUARD:
+            raise PerAggregatorGuardError(
+                f"{loo_pairs} leave-one-out pairs exceed {PER_AGGREGATOR_PAIR_GUARD}"
+            )
+        return inc.pair_views
 
     def widths(self, in_dim: int, z_prev_dim: int = 0) -> tuple:
         """(edge-state width, node-state width) of this layer's output for
         ``in_dim`` input columns and a previous edge state of
         ``z_prev_dim`` columns (0 when there is none); both account for
         the optional second-argument concatenation.  The per-aggregator
-        variant returns no edge state and node states as wide as its
-        input."""
-        if self.variant == "per_aggregator":
-            return 0, in_dim
+        variant returns no edge state, so its edge-state width is 0."""
         z_dim = self.v2e.out_dim(in_dim)
         if self.use_second_argument:
             z_dim += z_prev_dim
         out_dim = self.e2v.out_dim(z_dim)
         if self.use_second_argument:
             out_dim += in_dim
-        return z_dim, out_dim
+        return (z_dim if self.variant == "shared" else 0), out_dim
 
     def init_params(
         self, rng: np.random.Generator, in_dim: int, z_prev_dim: int = 0,
@@ -311,6 +321,8 @@ class AllSetLayer:
     ) -> tuple:
         """Returns (params, out_dim), with widths from :meth:`widths`."""
         z_dim, out_dim = self.widths(in_dim, z_prev_dim)
+        if self.variant == "per_aggregator":
+            z_dim = self.v2e.out_dim(in_dim)  # pair states, which forward drops
         params = self.v2e.init_params(rng, in_dim, f"{prefix}.v2e")
         params.update(self.e2v.init_params(rng, z_dim, f"{prefix}.e2v"))
         return params, out_dim
@@ -323,13 +335,14 @@ class AllSetLayer:
         z_prev=None,
         prefix: str = "layer",
     ) -> Tensor:
-        """Hidden state per hyperedge from the multiset of member rows."""
+        """Hidden state per hyperedge (per incidence pair for the
+        per-aggregator variant) from the multiset of member rows."""
         xt = x if isinstance(x, Tensor) else Tensor(x)
         if xt.shape[0] != hg.n:
             raise ad.ShapeMismatchError(
                 f"features have {xt.shape[0]} rows for {hg.n} nodes"
             )
-        z = self.v2e.aggregate(params, xt, hg.incidence.v2e, f"{prefix}.v2e")
+        z = self.v2e.aggregate(params, xt, self._views(hg)[0], f"{prefix}.v2e")
         if self.use_second_argument and z_prev is not None:
             zp = z_prev if isinstance(z_prev, Tensor) else Tensor(z_prev)
             if zp.shape[0] != hg.num_edges:
@@ -348,15 +361,17 @@ class AllSetLayer:
         x_prev=None,
         prefix: str = "layer",
     ) -> Tensor:
-        """Node state from the multiset of incident-edge rows; isolated
-        nodes yield zero rows (or their previous state when the second
-        argument is enabled)."""
+        """Node state from the multiset of incident-edge (or pair) rows;
+        isolated nodes yield zero rows (or their previous state when the
+        second argument is enabled)."""
         zt = z if isinstance(z, Tensor) else Tensor(z)
-        if zt.shape[0] != hg.num_edges:
+        view = self._views(hg)[1]
+        if zt.shape[0] != view.src_count:
             raise ad.ShapeMismatchError(
-                f"edge states have {zt.shape[0]} rows for {hg.num_edges} edges"
+                f"states have {zt.shape[0]} rows, the {self.variant} variant "
+                f"reads {view.src_count}"
             )
-        x_out = self.e2v.aggregate(params, zt, hg.incidence.e2v, f"{prefix}.e2v")
+        x_out = self.e2v.aggregate(params, zt, view, f"{prefix}.e2v")
         if self.use_second_argument and x_prev is not None:
             xp = x_prev if isinstance(x_prev, Tensor) else Tensor(x_prev)
             x_out = ad.concat_cols([x_out, xp])
@@ -370,59 +385,14 @@ class AllSetLayer:
         z_prev=None,
         prefix: str = "layer",
     ) -> tuple:
-        """Full propagation step; returns (edge_state, node_state)."""
-        if self.variant == "per_aggregator":
-            xv = x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-            out = per_aggregator_propagate(
-                hg,
-                xv,
-                self.v2e,
-                mean_e2v=isinstance(self.e2v, MeanPool),
-            )
-            return None, Tensor(out)
+        """Full propagation step; returns (edge_state, node_state), with no
+        edge state for the per-aggregator variant."""
         z = self.v2e_forward(params, hg, x, z_prev=z_prev, prefix=prefix)
         x_out = self.e2v_forward(
             params, hg, z, x_prev=x if self.use_second_argument else None,
             prefix=prefix,
         )
-        return z, x_out
-
-
-def per_aggregator_propagate(
-    hg: Hypergraph,
-    x: np.ndarray,
-    v2e: MultisetFunction,
-    mean_e2v: bool = False,
-) -> np.ndarray:
-    """Pair-level propagation: for every (edge, member) pair, aggregate
-    the other members' rows, then sum (or average) those pair states at
-    each node.  Small instances only."""
-    pair_count = len(hg.incidence.nodes)
-    if pair_count * max(x.shape[1], 1) > PER_AGGREGATOR_PAIR_GUARD:
-        raise PerAggregatorGuardError(
-            f"{pair_count} pairs x {x.shape[1]} features exceeds the guard"
-        )
-    out = np.zeros_like(x)
-    counts = hg.incidence.e2v.sizes
-    for members in hg.edges:
-        idx = list(members)
-        rows = x[idx]
-        for i, v in enumerate(idx):
-            others = np.delete(np.arange(len(idx)), i)
-            if isinstance(v2e, SumPool):
-                state = rows[others].sum(axis=0)
-            elif isinstance(v2e, MeanPool):
-                state = rows[others].mean(axis=0) if len(others) else np.zeros(x.shape[1])
-            elif isinstance(v2e, ProductPool):
-                state = rows[others].prod(axis=0)
-                if v2e.scale_by_cardinality_minus_one:
-                    state = state * (len(idx) - 1)
-            else:  # pragma: no cover - guarded in AllSetLayer.__init__
-                raise ValueError("unsupported pool for the per-pair variant")
-            out[v] += state
-    if mean_e2v:
-        out /= np.maximum(counts, 1.0).reshape(-1, 1)
-    return out
+        return (z if self.variant == "shared" else None), x_out
 
 
 class AllSetNetwork:

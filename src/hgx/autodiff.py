@@ -10,7 +10,9 @@ Segment sums (the forward of :func:`segment_sum`, the backward of
 :func:`sparse_matmul` are products with a 0/1 CSR matrix whose rows list
 their pairs in pair order.  scipy's CSR kernel starts each output row at
 zero and adds the rows in that stored order, so the results are the
-same sequential sums, bit-identical from run to run.
+same sequential sums, bit-identical from run to run.  Segment products
+and maxima are ``ufunc.reduceat`` over the rows of that same matrix, so
+they too reduce each segment's rows in pair order.
 
 A graph is confined to the thread that built it.  Independent graphs
 (e.g. parallel training runs) share nothing and may run concurrently.
@@ -402,14 +404,25 @@ def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
     return Tensor(out, _parents=(a,), _vjps=(lambda g: g[seg],))
 
 
-def _leave_one_out_prod(values: np.ndarray, seg: np.ndarray, num: int) -> np.ndarray:
-    """For each row i, the product over its segment excluding row i.
-    Zero entries are handled exactly via zero counts."""
+def _segment_reduce(ufunc, values: np.ndarray, m, empty: float) -> np.ndarray:
+    """``ufunc`` over each segment's rows of the CSR ``m`` (from
+    :func:`_segment_matrix`) in pair order; empty segments get ``empty``,
+    since ``reduceat`` would return a row for an empty run."""
+    out = np.full((m.shape[0], values.shape[1]), empty)
+    starts = m.indptr[:-1]
+    nonempty = m.indptr[1:] > starts
+    out[nonempty] = ufunc.reduceat(values[m.indices], starts[nonempty], axis=0)
+    return out
+
+
+def _leave_one_out_prod(values: np.ndarray, seg: np.ndarray, m) -> np.ndarray:
+    """For each row i, the product over its segment (rows of the CSR
+    ``m``) excluding row i.  Zero entries are handled exactly via zero
+    counts."""
     is_zero = values == 0.0
     nonzero = np.where(is_zero, 1.0, values)
-    prod_nz = np.ones((num, values.shape[1]))
-    np.multiply.at(prod_nz, seg, nonzero)
-    zero_count = _segment_matrix(seg, num) @ is_zero.astype(np.float64)
+    prod_nz = _segment_reduce(np.multiply, nonzero, m, 1.0)
+    zero_count = m @ is_zero.astype(np.float64)
     zc = zero_count[seg]
     loo = np.where(
         zc == 0,
@@ -425,11 +438,11 @@ def segment_prod(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tenso
     seg = np.asarray(segment_ids, dtype=np.int64)
     if seg.shape[0] != a.shape[0]:
         raise ShapeMismatchError("one segment id per row required")
-    out = np.ones((num_segments, a.shape[1]))
-    np.multiply.at(out, seg, a.value)
+    m = _segment_matrix(seg, num_segments)
+    out = _segment_reduce(np.multiply, a.value, m, 1.0)
 
     def vjp(g):
-        return g[seg] * _leave_one_out_prod(a.value, seg, num_segments)
+        return g[seg] * _leave_one_out_prod(a.value, seg, m)
 
     return Tensor(out, _parents=(a,), _vjps=(vjp,))
 
@@ -454,10 +467,9 @@ def segment_softmax(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Te
     seg = np.asarray(segment_ids, dtype=np.int64)
     if seg.shape[0] != a.shape[0]:
         raise ShapeMismatchError("one segment id per row required")
-    m = np.full((num_segments, a.shape[1]), -np.inf)
-    np.maximum.at(m, seg, a.value)
-    e = np.exp(a.value - m[seg])
     sums = _segment_matrix(seg, num_segments)
+    m = _segment_reduce(np.maximum, a.value, sums, -np.inf)
+    e = np.exp(a.value - m[seg])
     out = e / (sums @ e)[seg]
 
     def vjp(g):

@@ -12,7 +12,8 @@ directed views a layer reduces over (node rows into edges, edge rows into
 nodes).  It is built on first use of :attr:`Hypergraph.incidence` and
 cached on the instance; its arrays are read-only.  Each view's sparse
 matrix (H transposed for node rows into edges, H for edge rows into
-nodes) is built on its own first use and cached on the view.
+nodes) is built on its own first use and cached on the view, and so are
+the pair-state variant's leave-one-out views, :attr:`Incidence.pair_views`.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ class NonpositiveWeightError(HypergraphError):
 
 
 class NotUniformError(HypergraphError):
-    pass
-
-
-class TooLargeError(HypergraphError):
     pass
 
 
@@ -161,6 +158,25 @@ class Incidence:
     weights: np.ndarray
     v2e: SegmentView
     e2v: SegmentView
+
+    @cached_property
+    def pair_views(self) -> tuple:
+        """``(loo, back)``, the pair-state variant's views, built on first
+        use.  ``loo`` segment ``p`` is pair ``(nodes[p], edges[p])`` and
+        gathers the edge's other members in member order, sum(|e| (|e| -
+        1)) pairs in all; ``back`` reduces pair rows into their nodes."""
+        sizes = self.edge_sizes
+        pairs = len(self.nodes)
+        first = (np.cumsum(sizes) - sizes)[self.edges]  # first pair of p's edge
+        runs = sizes[self.edges] - 1  # sources of pair p: its edge's other members
+        seg = np.repeat(np.arange(pairs), runs)
+        # the k-th source of pair p is member k of its edge, skipping p itself
+        k = np.arange(len(seg)) - np.repeat(np.cumsum(runs) - runs, runs)
+        own = np.repeat(np.arange(pairs) - first, runs)
+        src = self.nodes[np.repeat(first, runs) + k + (k >= own)]
+        n = len(self.degrees)
+        return (segment_view(src, seg, pairs, n),
+                segment_view(np.arange(pairs), self.nodes, n, pairs))
 
 
 def _build_incidence(hg: Hypergraph) -> Incidence:
@@ -289,54 +305,6 @@ def incidence_matrix(hg: Hypergraph) -> np.ndarray:
     H = np.zeros((hg.n, hg.num_edges))
     H[hg.incidence.nodes, hg.incidence.edges] = 1.0
     return H
-
-
-def clique_expansion_incidence(hg: Hypergraph) -> np.ndarray:
-    """Co-membership count matrix: entry (u, v) is the total weight of
-    hyperedges containing both u and v; the diagonal carries weighted
-    node degrees.  Symmetric by construction."""
-    out = np.zeros((hg.n, hg.n))
-    for e, members in enumerate(hg.edges):
-        idx = list(members)
-        w = hg.edge_weight(e)
-        out[np.ix_(idx, idx)] += w
-    return out
-
-
-def clique_expansion_adjacency(hg: Hypergraph) -> np.ndarray:
-    """Clique-expansion graph adjacency: co-membership counts with a zero
-    diagonal.  For unweighted d-uniform inputs this equals marginalizing
-    the order-d adjacency tensor over all but two indices."""
-    out = clique_expansion_incidence(hg)
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
-_TENSOR_GUARD = 10**7
-
-
-def build_adjacency_tensor(hg: Hypergraph, d: int) -> np.ndarray:
-    """Dense order-d adjacency tensor of a d-uniform hypergraph.
-
-    Entry at every permutation of a hyperedge's ids equals 1/(d-2)!;
-    all other entries are 0.  Intended purely as a brute-force oracle,
-    hence the n**d size guard.
-    """
-    import itertools
-    import math
-
-    if hg.num_edges and hg.uniform_order() != d:
-        raise NotUniformError(f"hypergraph is not {d}-uniform")
-    if hg.n**d > _TENSOR_GUARD:
-        raise TooLargeError(f"n**d = {hg.n**d} exceeds guard {_TENSOR_GUARD}")
-    A = np.zeros((hg.n,) * d)
-    coeff = 1.0 / math.factorial(d - 2) if d >= 2 else 1.0
-    for members in hg.edges:
-        if len(set(members)) != d:
-            raise NotUniformError("hyperedge with repeated ids cannot be d-uniform")
-        for perm in itertools.permutations(members):
-            A[perm] = coeff
-    return A
 
 
 # --- .hg text format -----------------------------------------------------

@@ -1,10 +1,13 @@
 """Classical hypergraph propagation rules.
 
 Two families live here.  The fixed rules (clique-expansion sums, the
-tensor-contraction product rule and its root-taking variant) are pure
-numpy functions used as baselines and as oracles.  The trainable layers
-(HGNN, HCHA, HNHN, HyperGCN, HyperSAGE) run on the autodiff engine so
-their parameters can be optimized and gradient-checked.
+tensor-contraction product rule and its root-taking variant) are AllSet
+layers with fixed pools, which is the paper's claim that AllSet contains
+them: CEpropH is a shared-state sum/sum layer, CEpropA the pair-state
+sum/sum layer, and Zprop (d - 1) times the pair-state product/sum layer.
+They take and return numpy arrays.  The trainable layers (HGNN, HCHA,
+HNHN, HyperGCN, HyperSAGE) run on the autodiff engine so their
+parameters can be optimized and gradient-checked.
 
 Conventions shared by every rule:
   - features are one row per node;
@@ -22,6 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
+from .allset import AllSetLayer, ProductPool, SumPool
 from .autodiff import ShapeMismatchError, Tensor
 from .hypergraph import Hypergraph, NotUniformError
 
@@ -88,48 +92,33 @@ def _check_rows(hg: Hypergraph, x: np.ndarray) -> np.ndarray:
 # --- fixed rules ------------------------------------------------------------
 
 
+_CE_PROP_H = AllSetLayer(SumPool(), SumPool())
+_CE_PROP_A = AllSetLayer(SumPool(), SumPool(), variant="per_aggregator")
+_Z_PROP = AllSetLayer(ProductPool(), SumPool(), variant="per_aggregator")
+
+
 def ce_prop_h(hg: Hypergraph, x: np.ndarray) -> np.ndarray:
     """Each node receives the summed features of every co-member,
     including itself once per shared hyperedge."""
-    x = _check_rows(hg, x)
-    out = np.zeros_like(x)
-    for members in hg.edges:
-        idx = list(members)
-        out[idx] += x[idx].sum(axis=0)
-    return out
+    return _CE_PROP_H.forward({}, hg, _check_rows(hg, x))[1].value
 
 
 def ce_prop_a(hg: Hypergraph, x: np.ndarray) -> np.ndarray:
     """Like :func:`ce_prop_h` but each node's own feature is excluded
     from the inner sum (zero-diagonal clique expansion).  The exclusion
-    is computed directly, not via the h - d*x identity, so that
+    is a leave-one-out sum, not the h - d*x identity, so that
     single-neighbor contributions are passed through bit-exactly."""
-    x = _check_rows(hg, x)
-    out = np.zeros_like(x)
-    for members in hg.edges:
-        idx = list(members)
-        rows = x[idx]
-        for i, v in enumerate(idx):
-            others = np.delete(np.arange(len(idx)), i)
-            out[v] += rows[others].sum(axis=0)
-    return out
+    return _CE_PROP_A.forward({}, hg, _check_rows(hg, x))[1].value
 
 
 def z_prop(hg: Hypergraph, x: np.ndarray, d: int) -> np.ndarray:
     """Product-based update for d-uniform hypergraphs: every node
     receives, per incident edge, the elementwise product of the other
-    members' features scaled by (d - 1)."""
+    members' features, and the sum is scaled by (d - 1)."""
     x = _check_rows(hg, x)
     if hg.num_edges and hg.uniform_order() != d:
         raise NotUniformError(f"hypergraph is not {d}-uniform")
-    out = np.zeros_like(x)
-    for members in hg.edges:
-        idx = list(members)
-        rows = x[idx]
-        for i, v in enumerate(idx):
-            others = np.delete(np.arange(len(idx)), i)
-            out[v] += (d - 1) * rows[others].prod(axis=0)
-    return out
+    return (d - 1) * _Z_PROP.forward({}, hg, x)[1].value
 
 
 def h_prop(hg: Hypergraph, x: np.ndarray, d: int) -> np.ndarray:

@@ -1,26 +1,163 @@
-"""Executable equivalence checks: classical propagation rules recovered
-as compositions of two multiset functions.
+"""Reference implementations the tests compare hgx against.
 
-Each case evaluates a hand-rolled, loop-based two-phase construction
-(node->edge aggregation, then edge->node aggregation, with the weights
-or nonlinearities the corresponding rule prescribes) and compares it
-against the package's independent implementation of that rule over a
-batch of random hypergraphs.  Max deviations land at float rounding
-level when the constructions are right.
+Everything here is a direct loop or a dense construction, kept out of
+the package so that no path is checked against itself:
+
+- loop forms of the fixed rules (CEpropH, CEpropA, Zprop) and a general
+  loop over (edge, member) pair states, the reference for the pair-state
+  layer variant;
+- the dense clique-expansion matrices and the order-d adjacency tensor;
+- the equivalence suite: classical propagation rules recovered as
+  compositions of two multiset functions.  Each case evaluates a
+  hand-rolled, loop-based two-phase construction (node->edge
+  aggregation, then edge->node aggregation, with the weights or
+  nonlinearities the corresponding rule prescribes) or an AllSet layer
+  and compares it against an independent implementation of that rule
+  over a batch of random hypergraphs.  Max deviations land at float
+  rounding level when the constructions are right.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
+from hypothesis import strategies as st
 
-from . import autodiff as ad
-from . import rules
-from .allset import AllSetLayer, ProductPool, SumPool, per_aggregator_propagate
-from .hypergraph import Hypergraph, from_edge_list
-from .nn import make_rng
+from hgx import autodiff as ad
+from hgx import rules
+from hgx.allset import AllSetLayer, ProductPool, SumPool
+from hgx.hypergraph import Hypergraph, NotUniformError, from_edge_list
+from hgx.nn import make_rng
+
+
+class TooLargeError(ValueError):
+    pass
+
+
+# --- loop forms of the fixed rules -------------------------------------------
+
+
+def sum_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows added one at a time, in order.  numpy's ``sum`` adds a
+    single column of eight or more rows pairwise, which rounds
+    differently from the in-order sums of the package's sparse products."""
+    out = np.zeros(rows.shape[1])
+    for row in rows:
+        out = out + row
+    return out
+
+
+def ce_prop_h(hg: Hypergraph, x: np.ndarray) -> np.ndarray:
+    """CEpropH: each edge's member sum is added to every member."""
+    out = np.zeros_like(x)
+    for members in hg.edges:
+        idx = list(members)
+        out[idx] += sum_rows(x[idx])
+    return out
+
+
+def pair_propagate(hg: Hypergraph, x: np.ndarray, pair_pool, node_pool=sum_rows):
+    """Pair-state layer, looping over the incidence pairs in edge-major
+    order: pair (v, e) gets ``pair_pool`` of the rows of e's other
+    members, then each node gets ``node_pool`` of its pair states in pair
+    order.  An empty multiset (a 1-member edge's other members, a node in
+    no edge) gives a zero row."""
+    width = x.shape[1]
+    incoming = [[] for _ in range(hg.n)]
+    for members in hg.edges:
+        idx = list(members)
+        for i, v in enumerate(idx):
+            others = x[idx[:i] + idx[i + 1:]]
+            incoming[v].append(pair_pool(others) if len(others) else np.zeros(width))
+    out = np.zeros_like(x)
+    for v, states in enumerate(incoming):
+        if states:
+            out[v] = node_pool(np.array(states))
+    return out
+
+
+def ce_prop_a(hg: Hypergraph, x: np.ndarray) -> np.ndarray:
+    """CEpropA: per pair, the sum of the other members' rows."""
+    return pair_propagate(hg, x, sum_rows)
+
+
+def z_prop(hg: Hypergraph, x: np.ndarray, d: int) -> np.ndarray:
+    """Zprop: per pair, (d - 1) times the product of the other members'
+    rows."""
+    return pair_propagate(hg, x, lambda rows: (d - 1) * rows.prod(axis=0))
+
+
+@st.composite
+def hypergraphs_with_features(draw, uniform=None, low=-1.0):
+    """Hypergraphs with isolated nodes, 1-member and duplicate edges of up
+    to 9 members (all of ``uniform`` members when given), plus features
+    drawn uniformly from [low, 1.5)."""
+    n = draw(st.integers(uniform or 1, 10))
+    sizes = st.just(uniform) if uniform else st.integers(1, min(n, 9))
+    edges = [
+        draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+        for k in draw(st.lists(sizes, max_size=8))
+    ]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(low, 1.5, size=(n, draw(st.integers(1, 3))))
+    return from_edge_list(n, edges), x
+
+
+# --- dense constructions -------------------------------------------------------
+
+
+def clique_expansion_incidence(hg: Hypergraph) -> np.ndarray:
+    """Co-membership count matrix: entry (u, v) is the total weight of
+    hyperedges containing both u and v; the diagonal carries weighted
+    node degrees.  Symmetric by construction."""
+    out = np.zeros((hg.n, hg.n))
+    for e, members in enumerate(hg.edges):
+        idx = list(members)
+        w = hg.edge_weight(e)
+        out[np.ix_(idx, idx)] += w
+    return out
+
+
+def clique_expansion_adjacency(hg: Hypergraph) -> np.ndarray:
+    """Clique-expansion graph adjacency: co-membership counts with a zero
+    diagonal.  For unweighted d-uniform inputs this equals marginalizing
+    the order-d adjacency tensor over all but two indices."""
+    out = clique_expansion_incidence(hg)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+_TENSOR_GUARD = 10**7
+
+
+def build_adjacency_tensor(hg: Hypergraph, d: int) -> np.ndarray:
+    """Dense order-d adjacency tensor of a d-uniform hypergraph.
+
+    Entry at every permutation of a hyperedge's ids equals 1/(d-2)!;
+    all other entries are 0.  Intended purely as a brute-force oracle,
+    hence the n**d size guard.
+    """
+    if hg.num_edges and hg.uniform_order() != d:
+        raise NotUniformError(f"hypergraph is not {d}-uniform")
+    if hg.n**d > _TENSOR_GUARD:
+        raise TooLargeError(f"n**d = {hg.n**d} exceeds guard {_TENSOR_GUARD}")
+    A = np.zeros((hg.n,) * d)
+    coeff = 1.0 / math.factorial(d - 2) if d >= 2 else 1.0
+    for members in hg.edges:
+        if len(set(members)) != d:
+            raise NotUniformError("hyperedge with repeated ids cannot be d-uniform")
+        for perm in itertools.permutations(members):
+            A[perm] = coeff
+    return A
+
+
+
+
+# --- equivalence suite -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -52,29 +189,30 @@ def _sum_sum_shared(trials: int, rng) -> float:
         hg = _random_hypergraph(rng)
         x = rng.normal(size=(hg.n, 3))
         _, out = layer.forward({}, hg, x)
-        worst = max(worst, np.abs(out.value - rules.ce_prop_h(hg, x)).max())
+        worst = max(worst, np.abs(out.value - ce_prop_h(hg, x)).max())
     return worst
 
 
 def _sum_sum_per_pair(trials: int, rng) -> float:
+    layer = AllSetLayer(SumPool(), SumPool(), variant="per_aggregator")
     worst = 0.0
     for _ in range(trials):
         hg = _random_hypergraph(rng)
         x = rng.normal(size=(hg.n, 3))
-        out = per_aggregator_propagate(hg, x, SumPool())
-        worst = max(worst, np.abs(out - rules.ce_prop_a(hg, x)).max())
+        _, out = layer.forward({}, hg, x)
+        worst = max(worst, np.abs(out.value - ce_prop_a(hg, x)).max())
     return worst
 
 
 def _product_per_pair(trials: int, rng) -> float:
-    pool = ProductPool(scale_by_cardinality_minus_one=True)
+    layer = AllSetLayer(ProductPool(), SumPool(), variant="per_aggregator")
     worst = 0.0
     for _ in range(trials):
         d = int(rng.integers(3, 5))
         hg = _random_hypergraph(rng, uniform=d)
         x = rng.uniform(0.5, 1.5, size=(hg.n, 2))
-        out = per_aggregator_propagate(hg, x, pool)
-        worst = max(worst, np.abs(out - rules.z_prop(hg, x, d)).max())
+        _, out = layer.forward({}, hg, x)
+        worst = max(worst, np.abs((d - 1) * out.value - z_prop(hg, x, d)).max())
     return worst
 
 

@@ -1,8 +1,12 @@
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hgx import allset
 from hgx import autodiff as ad
-from hgx import nn, rules
+from hgx import nn
 from hgx.allset import (
     AllSetLayer,
     AllSetNetwork,
@@ -15,10 +19,10 @@ from hgx.allset import (
     SumPool,
     WeightedSumPool,
     multiset_function,
-    per_aggregator_propagate,
 )
 from hgx.hypergraph import from_edge_list, segment_view
 from hgx.nn import MlpSpec
+from oracles import hypergraphs_with_features
 
 
 def random_hypergraph(rng, n_max=12, m_max=8, uniform=None):
@@ -73,7 +77,7 @@ class TestFixedPools:
             x = rng.normal(size=(hg.n, 2))
             _, out = layer.forward({}, hg, x)
             np.testing.assert_allclose(
-                out.value, rules.ce_prop_h(hg, x), atol=1e-12
+                out.value, oracles.ce_prop_h(hg, x), atol=1e-12
             )
 
     def test_weighted_sum_pool(self):
@@ -183,7 +187,7 @@ class TestPermutationInvariance:
         [
             (lambda: SumPool(), False),
             (lambda: MeanPool(), False),
-            (lambda: ProductPool(scale_by_cardinality_minus_one=True), False),
+            (lambda: ProductPool(), False),
             (lambda: DeepSetsPool(MlpSpec((3, 5, 4)), MlpSpec((4, 4))), True),
             (lambda: SetTransformerPool(heads=2, head_dim=3), True),
         ],
@@ -228,27 +232,134 @@ class TestPermutationInvariance:
             assert np.abs(base_perm - permuted).max() / denom < 1e-9
 
 
+def relabel(hg, x, perm):
+    """``hg`` and ``x`` with node v renamed to ``perm[v]``."""
+    x_perm = np.empty_like(x)
+    x_perm[perm] = x
+    return from_edge_list(hg.n, [[int(perm[v]) for v in e] for e in hg.edges]), x_perm
+
+
+# loop-side pools for the pair-state oracle, one per fixed pool
+LOOP_POOLS = {
+    SumPool: oracles.sum_rows,
+    MeanPool: lambda rows: oracles.sum_rows(rows) / len(rows),
+    ProductPool: lambda rows: rows.prod(axis=0),
+}
+
+
+def learned_pool(kind, in_dim):
+    # elu, not relu: an empty multiset's zero row meets zero-initialized
+    # biases exactly at relu's kink, where finite differences disagree
+    if kind == "deepsets":
+        return DeepSetsPool(MlpSpec((in_dim, 4, 3), activation="elu"), MlpSpec((3, 3)))
+    return SetTransformerPool(heads=2, head_dim=2)
+
+
 class TestPerAggregatorVariant:
     def test_guard_rejects_large_instances(self):
         hg = from_edge_list(600, [list(range(600))] * 400)
+        layer = AllSetLayer(SumPool(), SumPool(), variant="per_aggregator")
         with pytest.raises(PerAggregatorGuardError):
-            per_aggregator_propagate(hg, np.ones((600, 4)), SumPool())
+            layer.forward({}, hg, np.ones((600, 4)))
 
-    def test_only_fixed_pools_allowed(self):
+    def test_guard_counts_leave_one_out_pairs_not_features(self, monkeypatch):
+        # one 4-member edge has 4 * 3 leave-one-out pairs, whatever the width
+        hg = from_edge_list(5, [[0, 1, 2, 3]])
+        layer = AllSetLayer(SumPool(), SumPool(), variant="per_aggregator")
+        x = np.ones((5, 1000))
+        monkeypatch.setattr(allset, "PER_AGGREGATOR_PAIR_GUARD", 12)
+        np.testing.assert_array_equal(layer.forward({}, hg, x)[1].value[:4], 3.0)
+        monkeypatch.setattr(allset, "PER_AGGREGATOR_PAIR_GUARD", 11)
+        with pytest.raises(PerAggregatorGuardError):
+            layer.forward({}, hg, x)
+
+    def test_second_argument_rejected(self):
         with pytest.raises(ValueError):
-            AllSetLayer(
-                DeepSetsPool(MlpSpec((2, 2)), MlpSpec((2, 2))),
-                SumPool(),
-                variant="per_aggregator",
-            )
+            AllSetLayer(SumPool(), SumPool(), variant="per_aggregator",
+                        use_second_argument=True)
 
     def test_layer_forward_routes_to_pair_variant(self):
         hg = from_edge_list(3, [[0, 1], [1, 2]])
         layer = AllSetLayer(SumPool(), SumPool(), variant="per_aggregator")
         x = np.array([[1.0], [10.0], [100.0]])
-        _, out = layer.forward({}, hg, x)
-        np.testing.assert_array_equal(out.value, rules.ce_prop_a(hg, x))
+        z, out = layer.forward({}, hg, x)
+        assert z is None
+        np.testing.assert_array_equal(out.value, oracles.ce_prop_a(hg, x))
 
+    def test_product_of_singleton_multiset_is_zero(self):
+        # node 2's only edge has no other member: its pair state is the
+        # pool's zero row for an empty multiset, not the empty product 1
+        hg = from_edge_list(3, [[0, 1], [2]])
+        layer = AllSetLayer(ProductPool(), SumPool(), variant="per_aggregator")
+        _, out = layer.forward({}, hg, np.array([[2.0], [3.0], [5.0]]))
+        np.testing.assert_array_equal(out.value, [[3.0], [2.0], [0.0]])
+
+    def test_widths_follow_the_pools(self):
+        layer = AllSetLayer(learned_pool("deepsets", 2), learned_pool("settransformer", 3),
+                            variant="per_aggregator")
+        assert layer.widths(2) == (0, 4)
+        params, out_dim = layer.init_params(nn.make_rng(0), 2)
+        assert out_dim == 4 and "layer.e2v.key0.w0" in params
+        assert params["layer.e2v.key0.w0"].shape == (3, 2)
+
+    @pytest.mark.parametrize("v2e", [SumPool, MeanPool, ProductPool])
+    @pytest.mark.parametrize("e2v", [SumPool, MeanPool, ProductPool])
+    @settings(max_examples=40, deadline=None)
+    @given(case=hypergraphs_with_features(low=0.5))
+    def test_fixed_pools_match_loop_oracle(self, v2e, e2v, case):
+        # mean multiplies by the reciprocal of the count where the loop
+        # divides: about one rounding per mean, compounded by a product
+        # over up to 8 pair states
+        hg, x = case
+        layer = AllSetLayer(v2e(), e2v(), variant="per_aggregator")
+        got = layer.forward({}, hg, x)[1].value
+        want = oracles.pair_propagate(hg, x, LOOP_POOLS[v2e], LOOP_POOLS[e2v])
+        if MeanPool in (v2e, e2v):
+            np.testing.assert_allclose(got, want, rtol=16 * np.finfo(float).eps, atol=0.0)
+        else:
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [("deepsets", "deepsets"), ("settransformer", "settransformer"),
+         ("deepsets", "settransformer")],
+        ids=lambda k: "-".join(k),
+    )
+    @settings(max_examples=6, deadline=None)
+    @given(case=hypergraphs_with_features())
+    def test_grad_check_with_learned_pools(self, kinds, case):
+        hg, x = case
+        v2e = learned_pool(kinds[0], x.shape[1])
+        e2v = learned_pool(kinds[1], v2e.out_dim(x.shape[1]))
+        layer = AllSetLayer(v2e, e2v, variant="per_aggregator")
+        rng = nn.make_rng(int(x.shape[0]))
+        params, out_dim = layer.init_params(rng, x.shape[1])
+        params["x"] = ad.parameter(x)
+        c = ad.constant(rng.normal(size=(hg.n, out_dim)))
+
+        def build():
+            out = layer.forward(params, hg, params["x"])[1]
+            return ad.sum_all(ad.mul(out, c))
+
+        report = nn.grad_check(build, params)
+        assert report.max_rel_err < 1e-4, str(report)
+        if max(map(len, hg.edges), default=0) > 1:
+            assert np.abs(params["x"].grad).max() > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=hypergraphs_with_features(), seed=st.integers(0, 2**32 - 1))
+    def test_node_relabelling_equivariance(self, case, seed):
+        hg, x = case
+        rng = np.random.default_rng(seed)
+        v2e = learned_pool("deepsets", x.shape[1])
+        layer = AllSetLayer(v2e, learned_pool("settransformer", 3),
+                            variant="per_aggregator")
+        params, _ = layer.init_params(rng, x.shape[1])
+        perm = rng.permutation(hg.n)
+        base = layer.forward(params, hg, x)[1].value
+        permuted = layer.forward(params, *relabel(hg, x, perm))[1].value
+        denom = max(np.abs(base).max(), 1e-12)
+        assert np.abs(permuted[perm] - base).max() / denom < 1e-9
 
     def test_network_chains_into_second_argument_layer(self):
         hg = from_edge_list(5, [[0, 1, 2], [2, 3], [1, 3, 4]])
@@ -279,7 +390,7 @@ class TestNetwork:
             params["head.b0"].value[:] = 0.0
             expected = x
             for _ in range(k):
-                expected = rules.ce_prop_h(hg, expected)
+                expected = oracles.ce_prop_h(hg, expected)
             got = net.forward(params, hg, x).value
             np.testing.assert_allclose(got, expected, atol=1e-9)
 
@@ -379,13 +490,12 @@ class TestExpressivenessWitness:
         # every parameter choice, while the product rule separates them
         hg = from_edge_list(4, [[0, 1, 2], [0, 1, 3]])
         x = np.array([[1.0], [2.0], [4.0], [8.0]])
-        target = rules.z_prop(hg, x, 3)
+        target = oracles.z_prop(hg, x, 3)
         np.testing.assert_allclose(target[:, 0], [48.0, 24.0, 4.0, 4.0])
 
-        # the scaled product pool reproduces the target exactly
-        got = per_aggregator_propagate(
-            hg, x, ProductPool(scale_by_cardinality_minus_one=True)
-        )
+        # (d - 1) times the pair-state product layer reproduces the target
+        layer = AllSetLayer(ProductPool(), SumPool(), variant="per_aggregator")
+        got = 2 * layer.forward({}, hg, x)[1].value
         np.testing.assert_allclose(got, target, atol=1e-12)
 
         # aggregated pre-activation rows for nodes 0 and 1 coincide

@@ -268,7 +268,7 @@ class TestGradients:
         assert ad.dropout(t, 0.0, rng) is t
 
 
-# --- segment sums against the np.add.at scatter they replaced ---------------
+# --- segment reductions against the ufunc.at scatters they replaced --------
 
 
 def ref_segment_sum(values, seg, num):
@@ -286,6 +286,22 @@ def ref_segment_softmax(values, seg, num, g):
     e = np.exp(values - m[seg])
     out = e / ref_segment_sum(e, seg, num)[seg]
     return out, out * (g - ref_segment_sum(g * out, seg, num)[seg])
+
+
+def ref_segment_prod(values, seg, num, g):
+    """Reference: segment product by scatter-multiply in row order, and
+    its vector-Jacobian product from leave-one-out products that count
+    exact zeros."""
+    out = np.ones((num, values.shape[1]))
+    np.multiply.at(out, seg, values)
+    is_zero = values == 0.0
+    nonzero = np.where(is_zero, 1.0, values)
+    prod_nz = np.ones((num, values.shape[1]))
+    np.multiply.at(prod_nz, seg, nonzero)
+    zc = ref_segment_sum(is_zero.astype(np.float64), seg, num)[seg]
+    loo = np.where(zc == 0, prod_nz[seg] / nonzero,
+                   np.where((zc == 1) & is_zero, prod_nz[seg], 0.0))
+    return out, g[seg] * loo
 
 
 @st.composite
@@ -329,6 +345,16 @@ class TestSegmentPrimitives:
         want, want_grad = ref_segment_softmax(values, seg, num, g)
         assert np.array_equal(out.value, want)
         assert np.array_equal(out._vjps[0](g), want_grad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(segment_cases())
+    def test_segment_prod_matches_scatter(self, case):
+        seg, num, values, g = case
+        g_out = ref_segment_sum(g, seg, num)
+        out = ad.segment_prod(Tensor(values), seg, num)
+        want, want_grad = ref_segment_prod(values, seg, num, g_out)
+        np.testing.assert_array_equal(out.value, want)
+        np.testing.assert_array_equal(out._vjps[0](g_out), want_grad)
 
     @settings(max_examples=50, deadline=None)
     @given(segment_cases(), st.integers(1, 4))

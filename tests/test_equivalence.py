@@ -1,4 +1,4 @@
-from hgx.equivalence import equivalence_suite, format_report
+from oracles import equivalence_suite, format_report
 
 
 def test_every_equivalence_case_passes():

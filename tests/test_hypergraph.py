@@ -11,16 +11,18 @@ from hgx.hypergraph import (
     NodeIdTypeError,
     NonpositiveWeightError,
     NotUniformError,
-    TooLargeError,
-    build_adjacency_tensor,
-    clique_expansion_adjacency,
-    clique_expansion_incidence,
     format_hg,
     from_edge_list,
     incidence_matrix,
     incidence_pairs,
     parse_hg,
     stats,
+)
+from oracles import (
+    TooLargeError,
+    build_adjacency_tensor,
+    clique_expansion_adjacency,
+    clique_expansion_incidence,
 )
 
 
@@ -234,6 +236,34 @@ class TestIncidence:
             back = np.zeros_like(src)
             np.add.at(back, view.src, want[view.seg])
             assert np.array_equal(view.matrix.T @ want, back)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hypergraphs())
+    def test_pair_views_match_loop_reference(self, hg):
+        inc = hg.incidence
+        assert "pair_views" not in vars(inc)
+        nodes, edges = loop_incidence_pairs(hg)
+        src, seg = [], []
+        for p, (v, e) in enumerate(zip(nodes.tolist(), edges.tolist())):
+            others = [u for u in hg.edges[e] if u != v]
+            src += others
+            seg += [p] * len(others)
+        loo, back = inc.pair_views
+        assert inc.pair_views is inc.pair_views
+        assert_same(loo.src, np.array(src, dtype=np.int64))
+        assert_same(loo.seg, np.array(seg, dtype=np.int64))
+        assert (loo.count, loo.src_count) == (len(nodes), hg.n)
+        assert_same(loo.sizes, (inc.edge_sizes[edges] - 1).astype(np.float64))
+        assert len(loo.src) == int(inc.edge_sizes @ (inc.edge_sizes - 1))
+        assert_same(back.src, np.arange(len(nodes)))
+        assert_same(back.seg, nodes)
+        assert (back.count, back.src_count) == (hg.n, len(nodes))
+        degrees = loop_degrees(hg).astype(np.float64)
+        assert_same(back.sizes, degrees)
+        assert_same(back.nonempty, (degrees > 0).astype(np.float64).reshape(-1, 1))
+        for a in (loo.src, loo.seg, back.src, back.seg):
+            with pytest.raises(ValueError):
+                a[...] = 0
 
     @settings(max_examples=50, deadline=None)
     @given(hypergraphs())

@@ -1,15 +1,12 @@
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgx import autodiff as ad
 from hgx import nn, rules
-from hgx.hypergraph import (
-    NotUniformError,
-    build_adjacency_tensor,
-    clique_expansion_adjacency,
-    clique_expansion_incidence,
-    from_edge_list,
-)
+from hgx.hypergraph import NotUniformError, from_edge_list
 from hgx.rules import (
     DegenerateEdgeError,
     NegativeBaseError,
@@ -29,6 +26,12 @@ from hgx.rules import (
     init_hypergcn_params,
     init_hypersage_params,
     z_prop,
+)
+from oracles import (
+    build_adjacency_tensor,
+    clique_expansion_adjacency,
+    clique_expansion_incidence,
+    hypergraphs_with_features,
 )
 
 
@@ -98,6 +101,13 @@ class TestCePropRules:
         with pytest.raises(ad.ShapeMismatchError):
             ce_prop_h(hg, np.ones((4, 1)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(hypergraphs_with_features())
+    def test_layers_equal_loop_oracles(self, case):
+        hg, x = case
+        np.testing.assert_array_equal(ce_prop_h(hg, x), oracles.ce_prop_h(hg, x))
+        np.testing.assert_array_equal(ce_prop_a(hg, x), oracles.ce_prop_a(hg, x))
+
 
 class TestZProp:
     def test_single_edge_by_hand(self):
@@ -129,6 +139,19 @@ class TestZProp:
                 np.testing.assert_allclose(
                     z_prop(hg, x, d), tensor_contraction(hg, x, d), atol=1e-10
                 )
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_layer_matches_loop_oracle(self, d, data):
+        # the layer sums the pair products and scales once by (d - 1);
+        # the loop scales each product, which rounds alike for d <= 3
+        hg, x = data.draw(hypergraphs_with_features(uniform=d, low=0.5))
+        got, want = z_prop(hg, x, d), oracles.z_prop(hg, x, d)
+        if d <= 3:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_d2_equals_neighbor_sum(self):
         rng = np.random.default_rng(4)
