@@ -16,10 +16,11 @@ Both layer variants are the same two pool calls: the shared variant over
 ``v2e``/``e2v`` (one state per hyperedge), the pair-state variant over
 ``pair_views`` (one state per incidence pair, pooled from the edge's
 other members, so its cost grows with sum(|e| (|e| - 1)), not sum(|e|)).
-Sum-shaped pools reduce with one sparse product by the view's matrix
-(H transposed node->edge, H edge->node) instead of gathering one row per
-pair.  Empty segments (isolated nodes, 1-member edges' leave-one-out
-multisets) produce zero rows.
+Every sum, weighted or not, is one :func:`~hgx.autodiff.segment_sum`
+over the view (a sparse product by H transposed node->edge, H
+edge->node) instead of gathering one row per pair.  Empty segments
+(isolated nodes, 1-member edges' leave-one-out multisets) produce zero
+rows.
 """
 
 from __future__ import annotations
@@ -82,12 +83,12 @@ class MultisetFunction:
 
 class SumPool(MultisetFunction):
     def aggregate(self, params, src, view, prefix):
-        return ad.sparse_matmul(view.matrix, src)
+        return ad.segment_sum(src, view)
 
 
 class MeanPool(MultisetFunction):
     def aggregate(self, params, src, view, prefix):
-        total = ad.sparse_matmul(view.matrix, src)
+        total = ad.segment_sum(src, view)
         sizes = np.maximum(view.sizes, 1.0)
         return ad.mul(total, ad.constant(1.0 / sizes.reshape(-1, 1)))
 
@@ -97,7 +98,7 @@ class ProductPool(MultisetFunction):
     rows (not the empty product 1)."""
 
     def aggregate(self, params, src, view, prefix):
-        prod = ad.segment_prod(ad.gather_rows(src, view.src), view.seg, view.count)
+        prod = ad.segment_prod(ad.gather_rows(src, view.src), view)
         return ad.mul(prod, ad.constant(view.nonempty))
 
 
@@ -118,8 +119,7 @@ class WeightedSumPool(MultisetFunction):
         )
 
     def aggregate(self, params, src, view, prefix):
-        rows = ad.mul(ad.gather_rows(src, view.src), ad.constant(self.pair_weights))
-        out = ad.segment_sum(rows, view.seg, view.count)
+        out = ad.segment_sum(src, view, self.pair_weights)
         if self.segment_scale is not None:
             out = ad.mul(out, ad.constant(self.segment_scale))
         return out
@@ -149,7 +149,7 @@ class DeepSetsPool(MultisetFunction):
 
     def aggregate(self, params, src, view, prefix):
         h = nn.mlp_forward(self.inner, params, src, f"{prefix}.inner")
-        pooled = ad.sparse_matmul(view.matrix, h)
+        pooled = ad.segment_sum(h, view)
         out = nn.mlp_forward(self.outer, params, pooled, f"{prefix}.outer")
         return ad.mul(out, ad.constant(view.nonempty))
 
@@ -219,9 +219,8 @@ class SetTransformerPool(MultisetFunction):
             lo, hi = i * self.head_dim, (i + 1) * self.head_dim
             seed_slice = ad.slice_cols(seed, lo, hi)
             logits = ad.row_sum(ad.mul(ad.gather_rows(k, view.src), seed_slice))
-            weights = ad.segment_softmax(logits, view.seg, view.count)
-            weighted = ad.mul(ad.gather_rows(v, view.src), weights)
-            head_outputs.append(ad.segment_sum(weighted, view.seg, view.count))
+            weights = ad.segment_softmax(logits, view)
+            head_outputs.append(ad.segment_sum(v, view, weights))
         mh = head_outputs[0] if self.heads == 1 else ad.concat_cols(head_outputs)
         y = nn.layer_norm(
             ad.add(seed, mh),
@@ -415,6 +414,7 @@ class AllSetNetwork:
         self.layers = list(layers)
         self.input_proj = input_proj
         self.dropout = float(dropout)
+        ad.check_dropout_rate(self.dropout)
         # forward starts without a previous edge state (z0 is None)
         dim, z_dim = (in_dim if input_proj is None else input_proj.out_dim), 0
         self._layer_dims = []

@@ -5,14 +5,15 @@ rows).  Operations record their inputs and a vector-Jacobian closure per
 input; ``Tensor.backward`` walks the recorded graph once in reverse
 topological order.
 
-Segment sums (the forward of :func:`segment_sum`, the backward of
-:func:`gather_rows`, the sums inside :func:`segment_softmax`) and
-:func:`sparse_matmul` are products with a 0/1 CSR matrix whose rows list
-their pairs in pair order.  scipy's CSR kernel starts each output row at
-zero and adds the rows in that stored order, so the results are the
-same sequential sums, bit-identical from run to run.  Segment products
-and maxima are ``ufunc.reduceat`` over the rows of that same matrix, so
-they too reduce each segment's rows in pair order.
+Segment ops reduce over a :class:`~hgx.hypergraph.SegmentView`, whose
+one sort, ``view.pairs``, lists each segment's pairs in pair order.
+Sums are products with the view's CSR (``view.matrix``, with the pair
+weights as entries when given, or ``view.pairs``).  scipy's CSR kernel
+starts each output row at zero and adds the rows in that stored order,
+so the results are sequential sums, bit-identical from run to run.
+Segment products and maxima are ``ufunc.reduceat`` over the same rows.
+The backward of :func:`gather_rows` is a CSC matrix with one entry per
+column, which adds each row's gradients in pair order without a sort.
 
 A graph is confined to the thread that built it.  Independent graphs
 (e.g. parallel training runs) share nothing and may run concurrently.
@@ -20,7 +21,7 @@ A graph is confined to the thread that built it.  Independent graphs
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -356,58 +357,47 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
     return Tensor(a.value[:, lo:hi], _parents=(a,), _vjps=(vjp,))
 
 
-def _segment_matrix(seg, count: int, src=None, src_count: Optional[int] = None):
-    """The ``(count, src_count)`` 0/1 CSR matrix whose row ``s`` lists
-    ``src[i]`` for every pair ``i`` with ``seg[i] == s``, in increasing
-    ``i``.  ``src`` defaults to the pair index itself, with
-    ``src_count = len(seg)``."""
-    seg = np.asarray(seg, dtype=np.int64)
-    # a stable argsort of seg; the keys (segment, pair) are unique, which
-    # lets numpy's default sort run several times faster than its stable one
-    order = np.argsort(seg * len(seg) + np.arange(len(seg)))
-    indptr = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(seg, minlength=count), out=indptr[1:])
-    if src is None:
-        cols, src_count = order, len(seg)
-    else:
-        cols = np.asarray(src, dtype=np.int64)[order]
-    data = np.ones(len(seg))
-    return sparse.csr_array((data, cols, indptr), shape=(count, src_count))
-
-
-def sparse_matmul(m, a: Tensor) -> Tensor:
-    """Product ``m @ a`` with a constant scipy sparse matrix ``m``; the
-    backward pass is ``m.T @ g``."""
-    if m.shape[1] != a.shape[0]:
-        raise ShapeMismatchError(f"sparse_matmul {m.shape} @ {a.shape}")
-    return Tensor(m @ a.value, _parents=(a,), _vjps=(lambda g: m.T @ g,))
-
-
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows ``a[idx]``; the backward pass sums the gradient rows
-    of each source row in pair order."""
+    """Select rows ``a[idx]``; the backward pass adds each row's
+    gradients in pair order."""
     idx = np.asarray(idx, dtype=np.int64)
-    return Tensor(
-        a.value[idx],
-        _parents=(a,),
-        _vjps=(lambda g: _segment_matrix(idx, a.shape[0]) @ g,),
-    )
+    p = len(idx)
+
+    def vjp(g):  # one entry per column: a scatter without a sort
+        cols = np.arange(p + 1)
+        return sparse.csc_array((np.ones(p), idx, cols), shape=(a.shape[0], p)) @ g
+
+    return Tensor(a.value[idx], _parents=(a,), _vjps=(vjp,))
 
 
-def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of ``a`` into ``num_segments`` buckets in row order.
+def segment_sum(x: Tensor, view, weights=None) -> Tensor:
+    """One row per segment of ``view``: the sum over its pairs ``p``, in
+    pair order, of ``w_p * x[src_p]``.  ``x`` has ``view.src_count`` rows;
+    ``weights`` is a ``(P, 1)`` array or Tensor (``w = 1`` when ``None``).
     Empty segments yield zero rows."""
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    if seg.shape[0] != a.shape[0]:
-        raise ShapeMismatchError("one segment id per row required")
-    out = _segment_matrix(seg, num_segments) @ a.value
-    return Tensor(out, _parents=(a,), _vjps=(lambda g: g[seg],))
+    m = view.matrix
+    if x.shape[0] != m.shape[1]:
+        raise ShapeMismatchError(f"{x.shape[0]} rows for a view of {m.shape[1]}")
+    if weights is None:
+        return Tensor(m @ x.value, _parents=(x,), _vjps=(lambda g: m.T @ g,))
+    w = wrap(weights)
+    if w.shape != (m.nnz, 1):
+        raise ShapeMismatchError(f"weights {w.shape} for {m.nnz} pairs")
+    m = sparse.csr_array((w.value[view.pairs.indices, 0], m.indices, m.indptr),
+                         shape=m.shape)
+
+    def dw(g):
+        return (g[view.seg] * x.value[view.src]).sum(axis=1, keepdims=True)
+
+    return Tensor(m @ x.value, _parents=(x, w), _vjps=(lambda g: m.T @ g, dw))
 
 
 def _segment_reduce(ufunc, values: np.ndarray, m, empty: float) -> np.ndarray:
-    """``ufunc`` over each segment's rows of the CSR ``m`` (from
-    :func:`_segment_matrix`) in pair order; empty segments get ``empty``,
-    since ``reduceat`` would return a row for an empty run."""
+    """``ufunc`` over each segment's rows of the CSR ``m`` (a view's
+    ``pairs``) in pair order; empty segments get ``empty``, since
+    ``reduceat`` would return a row for an empty run."""
+    if values.shape[0] != m.shape[1]:
+        raise ShapeMismatchError(f"{values.shape[0]} rows for {m.shape[1]} pairs")
     out = np.full((m.shape[0], values.shape[1]), empty)
     starts = m.indptr[:-1]
     nonempty = m.indptr[1:] > starts
@@ -432,13 +422,11 @@ def _leave_one_out_prod(values: np.ndarray, seg: np.ndarray, m) -> np.ndarray:
     return loo
 
 
-def segment_prod(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Columnwise product of rows within each segment.  Empty segments
-    yield ones (callers mask them when a zero row is wanted)."""
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    if seg.shape[0] != a.shape[0]:
-        raise ShapeMismatchError("one segment id per row required")
-    m = _segment_matrix(seg, num_segments)
+def segment_prod(a: Tensor, view) -> Tensor:
+    """Columnwise product of the pair rows ``a`` (one per pair of
+    ``view``) within each segment.  Empty segments yield ones (callers
+    mask them when a zero row is wanted)."""
+    m, seg = view.pairs, view.seg
     out = _segment_reduce(np.multiply, a.value, m, 1.0)
 
     def vjp(g):
@@ -460,14 +448,10 @@ def row_softmax(a: Tensor) -> Tensor:
     return Tensor(out, _parents=(a,), _vjps=(vjp,))
 
 
-def segment_softmax(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Columnwise softmax within segments (stabilized by segment max).
-    Entries of empty segments do not exist; rows normalize within their
-    own segment."""
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    if seg.shape[0] != a.shape[0]:
-        raise ShapeMismatchError("one segment id per row required")
-    sums = _segment_matrix(seg, num_segments)
+def segment_softmax(a: Tensor, view) -> Tensor:
+    """Columnwise softmax of the pair rows ``a`` (one per pair of
+    ``view``) within each segment, stabilized by the segment max."""
+    sums, seg = view.pairs, view.seg
     m = _segment_reduce(np.maximum, a.value, sums, -np.inf)
     e = np.exp(a.value - m[seg])
     out = e / (sums @ e)[seg]
@@ -479,9 +463,16 @@ def segment_softmax(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Te
     return Tensor(out, _parents=(a,), _vjps=(vjp,))
 
 
+def check_dropout_rate(rate: float) -> None:
+    """Reject a rate outside ``[0, 1)``; rate 1 would divide by zero."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+
+
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity when rate == 0."""
-    if rate <= 0.0:
+    check_dropout_rate(rate)
+    if rate == 0.0:
         return a
     keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
     return Tensor(a.value * keep, _parents=(a,), _vjps=(lambda g: g * keep,))

@@ -10,10 +10,10 @@ Every aggregation reads one :class:`Incidence` per hypergraph: the
 node-edge pairs, degrees, edge sizes and edge weights, plus the two
 directed views a layer reduces over (node rows into edges, edge rows into
 nodes).  It is built on first use of :attr:`Hypergraph.incidence` and
-cached on the instance; its arrays are read-only.  Each view's sparse
-matrix (H transposed for node rows into edges, H for edge rows into
-nodes) is built on its own first use and cached on the view, and so are
-the pair-state variant's leave-one-out views, :attr:`Incidence.pair_views`.
+cached on the instance; its arrays are read-only.  Each view sorts its
+pairs once, on first use, into :attr:`SegmentView.pairs`, and reads its
+matrix (H transposed node->edge, H edge->node) off that sort; both are
+cached on the view, as are the leave-one-out :attr:`Incidence.pair_views`.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-
-from .autodiff import _segment_matrix
+from scipy import sparse
 
 
 class HypergraphError(ValueError):
@@ -127,11 +126,24 @@ class SegmentView:
     nonempty: np.ndarray
 
     @cached_property
+    def pairs(self):
+        """The ``(count, P)`` 0/1 CSR matrix whose row ``s`` lists the
+        pairs of segment ``s`` in pair order: the view's one sort."""
+        p = len(self.seg)
+        # a stable argsort of seg; the keys (segment, pair) are unique, which
+        # lets numpy's default sort run several times faster than its stable one
+        order = np.argsort(self.seg * p + np.arange(p))
+        indptr = np.zeros(self.count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.seg, minlength=self.count), out=indptr[1:])
+        return sparse.csr_array((np.ones(p), order, indptr), shape=(self.count, p))
+
+    @cached_property
     def matrix(self):
-        """The ``(count, src_count)`` 0/1 CSR matrix of the view, built on
-        first use: row ``s`` lists the source rows of the pairs in segment
-        ``s`` in pair order, so ``matrix @ x`` sums them in that order."""
-        return _segment_matrix(self.seg, self.count, self.src, self.src_count)
+        """The ``(count, src_count)`` 0/1 CSR matrix whose row ``s`` lists
+        the source rows of segment ``s``'s pairs in pair order."""
+        p = self.pairs
+        return sparse.csr_array((p.data, self.src[p.indices], p.indptr),
+                                shape=(self.count, self.src_count))
 
 
 def segment_view(src, seg, count: int, src_count: int) -> SegmentView:
@@ -205,8 +217,12 @@ def from_edge_list(
 
     Node ids inside each raw hyperedge are deduplicated and sorted.  Edges
     that are empty after deduplication are rejected, as are non-integer,
-    boolean and out-of-range ids and nonpositive weights.
+    boolean and out-of-range ids and nonpositive weights, and so is a
+    node count that is negative, a ``bool`` or not an integer.
     """
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise HypergraphError(f"node count must be an integer, got {n!r}")
+    n = operator.index(n)
     if n < 0:
         raise HypergraphError(f"node count must be >= 0, got {n}")
     canon = []
@@ -241,7 +257,7 @@ def from_edge_list(
             if not (w > 0) or not np.isfinite(w):
                 raise NonpositiveWeightError(f"edge {k}: weight {w} must be > 0")
         wtup = weights
-    return Hypergraph(n=int(n), edges=tuple(canon), weights=wtup)
+    return Hypergraph(n=n, edges=tuple(canon), weights=wtup)
 
 
 def incidence_pairs(hg: Hypergraph) -> tuple:

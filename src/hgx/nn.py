@@ -183,7 +183,7 @@ def grad_check(
     for name in names:
         t = params[name]
         err = 0.0
-        it = np.nditer(t.value, flags=["multi_index"])
+        it = np.nditer(t.value, flags=["multi_index", "zerosize_ok"])
         while not it.finished:
             ix = it.multi_index
             orig = t.value[ix]

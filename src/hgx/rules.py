@@ -169,9 +169,9 @@ def hgnn_layer(hg: Hypergraph, x, params: Dict[str, Tensor]) -> Tensor:
     edge_scale = (inc.weights / inc.v2e.sizes).reshape(-1, 1)
 
     scaled = ad.mul(xt, ad.constant(inv_sqrt.reshape(-1, 1)))
-    z = ad.sparse_matmul(inc.v2e.matrix, scaled)
+    z = ad.segment_sum(scaled, inc.v2e)
     z = ad.mul(z, ad.constant(edge_scale))
-    agg = ad.sparse_matmul(inc.e2v.matrix, z)
+    agg = ad.segment_sum(z, inc.e2v)
     agg = ad.mul(agg, ad.constant(inv_sqrt.reshape(-1, 1)))
     pre = ad.add(ad.matmul(agg, params["hgnn.theta"]), params["hgnn.bias"])
     return ad.mul(ad.relu(pre), ad.constant(inc.e2v.nonempty))
@@ -199,7 +199,8 @@ def hcha_layer(
 
     Per-incidence attention compares a node's features with its
     hyperedge's features and normalizes across the edges incident to
-    that node.  Without hyperedge features the attention module is
+    that node; it needs ``params`` from ``init_hcha_params(...,
+    f_edge=...)``.  Without hyperedge features the attention module is
     unusable and the layer falls back to uniform weights 1/d_u and
     1/d_v.
     """
@@ -210,6 +211,8 @@ def hcha_layer(
     inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
 
     if edge_feats is not None:
+        if "hcha.att" not in params:
+            raise ValueError("edge_feats need init_hcha_params(..., f_edge=...)")
         zt = _as_tensor(edge_feats)
         if zt.shape[0] != hg.num_edges:
             raise ShapeMismatchError(
@@ -218,20 +221,15 @@ def hcha_layer(
         pair_cat = ad.concat_cols([ad.gather_rows(xt, pn), ad.gather_rows(zt, pe)])
         att = params["hcha.att"]  # (1, f_in + f_edge)
         scores = ad.leaky_relu(ad.row_sum(ad.mul(pair_cat, att)), 0.2)
-        alpha = ad.segment_softmax(scores, pn, hg.n)
+        alpha = ad.segment_softmax(scores, inc.e2v)
     else:
         alpha = ad.constant(inv_deg[pn].reshape(-1, 1))
 
-    weighted = ad.mul(ad.gather_rows(xt, pn), alpha)
-    inner = ad.segment_sum(weighted, pe, hg.num_edges)  # sum_u alpha_ue X_u
-
-    alpha_ve = alpha  # same attention definition, evaluated at (v, e) pairs
+    inner = ad.segment_sum(xt, inc.v2e, alpha)  # sum_u alpha_ue X_u
+    # the same attention, evaluated at (v, e) pairs, times w_e / |e|
     edge_scale = ad.constant((inc.weights / inc.v2e.sizes)[pe].reshape(-1, 1))
-    pair_outer = ad.mul(ad.mul(ad.gather_rows(inner, pe), alpha_ve), edge_scale)
-    outer = ad.mul(
-        ad.segment_sum(pair_outer, pn, hg.n),
-        ad.constant(inv_deg.reshape(-1, 1)),
-    )
+    outer = ad.segment_sum(inner, inc.e2v, ad.mul(alpha, edge_scale))
+    outer = ad.mul(outer, ad.constant(inv_deg.reshape(-1, 1)))
     pre = ad.add(ad.matmul(outer, params["hcha.theta"]), params["hcha.bias"])
     act = {"elu": ad.elu, "relu": ad.relu}[activation]
     return ad.mul(act(pre), ad.constant(inc.e2v.nonempty))
@@ -249,7 +247,6 @@ def hnhn_layer(
     params: Dict[str, Tensor],
     alpha: float = 0.0,
     beta: float = 0.0,
-    z=None,
     node_normalizer: str = "as_printed",
     activation: str = "relu",
 ) -> tuple:
@@ -260,9 +257,8 @@ def hnhn_layer(
     node state from an |e|**alpha weighted average of incident edge
     states.  The printed form of the node-side normalizer sums the
     node's own degree power over incident edges (``as_printed``); the
-    ``edge_size`` variant sums |e|**alpha instead.  ``z`` (previous edge
-    state) is accepted for interface parity but the update does not use
-    it.  Returns ``(edge_state, node_state)``.
+    ``edge_size`` variant sums |e|**alpha instead.  Returns
+    ``(edge_state, node_state)``.
     """
     xt = _node_tensor(hg, x)
     if node_normalizer not in ("as_printed", "edge_size"):
@@ -276,8 +272,7 @@ def hnhn_layer(
     if hg.num_edges and not (d_el > 0).all():
         raise ZeroNormalizerError("edge-side normalizer vanished")
     act = {"relu": ad.relu, "identity": lambda t: t}[activation]
-    weighted = ad.mul(ad.gather_rows(xt, pn), ad.constant(deg_beta[pn].reshape(-1, 1)))
-    edge_sum = ad.segment_sum(weighted, pe, hg.num_edges)
+    edge_sum = ad.segment_sum(xt, inc.v2e, deg_beta[pn].reshape(-1, 1))
     edge_avg = ad.mul(edge_sum, ad.constant((1.0 / d_el).reshape(-1, 1)))
     z_out = act(
         ad.add(ad.matmul(edge_avg, params["hnhn.edge.theta"]), params["hnhn.edge.bias"])
@@ -290,8 +285,7 @@ def hnhn_layer(
         pair_w = size_alpha[pe]
     d_vl = np.bincount(pn, weights=pair_w, minlength=hg.n)
     inv_dvl = np.divide(1.0, d_vl, out=np.zeros_like(d_vl), where=d_vl > 0)
-    pair_z = ad.mul(ad.gather_rows(z_out, pe), ad.constant(size_alpha[pe].reshape(-1, 1)))
-    node_sum = ad.segment_sum(pair_z, pn, hg.n)
+    node_sum = ad.segment_sum(z_out, inc.e2v, size_alpha[pe].reshape(-1, 1))
     node_avg = ad.mul(node_sum, ad.constant(inv_dvl.reshape(-1, 1)))
     x_out = act(
         ad.add(ad.matmul(node_avg, params["hnhn.node.theta"]), params["hnhn.node.bias"])
@@ -366,16 +360,12 @@ def hypersage_layer(
     deg = inc.e2v.sizes
 
     xp = xt if p == 1 else ad.power(xt, float(p))
-    edge_mean = ad.mul(
-        ad.sparse_matmul(inc.v2e.matrix, xp),
-        ad.constant((1.0 / inc.v2e.sizes).reshape(-1, 1)),
-    )
+    edge_mean = ad.mul(ad.segment_sum(xp, inc.v2e),
+                       ad.constant((1.0 / inc.v2e.sizes).reshape(-1, 1)))
     # z_e = edge_mean ** (1/p); z_e**p reappears immediately, so reuse edge_mean
     inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-    node_mean = ad.mul(
-        ad.sparse_matmul(inc.e2v.matrix, edge_mean),
-        ad.constant(inv_deg.reshape(-1, 1)),
-    )
+    node_mean = ad.mul(ad.segment_sum(edge_mean, inc.e2v),
+                       ad.constant(inv_deg.reshape(-1, 1)))
     pooled = node_mean if p == 1 else ad.power(node_mean, 1.0 / p)
     x_star = ad.add(pooled, xt)
     norms = np.sqrt((x_star.value**2).sum(axis=1, keepdims=True))
@@ -394,8 +384,6 @@ def z_edge_state(hg: Hypergraph, x, p: int = 1) -> Tensor:
     xt = _node_tensor(hg, x)
     inc = hg.incidence
     xp = xt if p == 1 else ad.power(xt, float(p))
-    mean = ad.mul(
-        ad.sparse_matmul(inc.v2e.matrix, xp),
-        ad.constant((1.0 / inc.v2e.sizes).reshape(-1, 1)),
-    )
+    mean = ad.mul(ad.segment_sum(xp, inc.v2e),
+                  ad.constant((1.0 / inc.v2e.sizes).reshape(-1, 1)))
     return mean if p == 1 else ad.power(mean, 1.0 / p)

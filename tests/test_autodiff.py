@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from hgx import autodiff as ad
 from hgx import nn
 from hgx.autodiff import Tensor
+from hgx.hypergraph import segment_view
+from oracles import hypergraphs_with_features
+
+
+def pair_view(seg, num):
+    """The view that reduces pair row ``i`` into segment ``seg[i]``."""
+    return segment_view(np.arange(len(seg)), seg, num, len(seg))
 
 
 def numeric_grad(build, t, h=1e-5):
@@ -70,19 +76,19 @@ class TestShapesAndValues:
 
     def test_segment_sum_values(self):
         x = Tensor(np.arange(8.0).reshape(4, 2))
-        out = ad.segment_sum(x, np.array([1, 0, 1, 1]), 3)
+        out = ad.segment_sum(x, pair_view(np.array([1, 0, 1, 1]), 3))
         np.testing.assert_array_equal(out.value, [[2.0, 3.0], [10.0, 13.0], [0.0, 0.0]])
 
     def test_segment_prod_values(self):
         x = Tensor([[2.0], [3.0], [5.0]])
-        out = ad.segment_prod(x, np.array([0, 0, 1]), 2)
+        out = ad.segment_prod(x, pair_view(np.array([0, 0, 1]), 2))
         np.testing.assert_array_equal(out.value, [[6.0], [5.0]])
 
     def test_segment_softmax_sums_to_one(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(10, 1)))
         seg = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2, 3])
-        w = ad.segment_softmax(x, seg, 4)
+        w = ad.segment_softmax(x, pair_view(seg, 4))
         sums = np.zeros((4, 1))
         np.add.at(sums, seg, w.value)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
@@ -199,7 +205,7 @@ class TestGradients:
         seg = np.array([0, 0, 1, 1, 1, 2, 2])
         c = ad.constant(rng.normal(size=(7, 1)))
         assert_grad_matches(
-            lambda: ad.sum_all(ad.mul(ad.segment_softmax(t, seg, 3), c)), t
+            lambda: ad.sum_all(ad.mul(ad.segment_softmax(t, pair_view(seg, 3)), c)), t
         )
 
     def test_segment_sum_grad(self):
@@ -208,7 +214,7 @@ class TestGradients:
         seg = np.array([0, 2, 2, 1, 0, 2])
         c = ad.constant(rng.normal(size=(3, 2)))
         assert_grad_matches(
-            lambda: ad.sum_all(ad.mul(ad.segment_sum(t, seg, 3), c)), t
+            lambda: ad.sum_all(ad.mul(ad.segment_sum(t, pair_view(seg, 3)), c)), t
         )
 
     def test_segment_prod_grad(self):
@@ -217,7 +223,7 @@ class TestGradients:
         seg = np.array([0, 0, 0, 1, 1, 2, 2])
         c = ad.constant(rng.normal(size=(3, 2)))
         assert_grad_matches(
-            lambda: ad.sum_all(ad.mul(ad.segment_prod(t, seg, 3), c)), t
+            lambda: ad.sum_all(ad.mul(ad.segment_prod(t, pair_view(seg, 3)), c)), t
         )
 
     def test_segment_prod_zero_handling(self):
@@ -225,7 +231,7 @@ class TestGradients:
         # the product of the others; two zeros kill every gradient
         t = ad.parameter(np.array([[0.0], [3.0], [5.0], [0.0], [0.0], [2.0]]))
         seg = np.array([0, 0, 0, 1, 1, 1])
-        out = ad.segment_prod(t, seg, 2)
+        out = ad.segment_prod(t, pair_view(seg, 2))
         ad.sum_all(out).backward()
         np.testing.assert_allclose(t.grad[:3, 0], [15.0, 0.0, 0.0])
         np.testing.assert_allclose(t.grad[3:, 0], [0.0, 0.0, 0.0])
@@ -323,7 +329,7 @@ class TestSegmentPrimitives:
     @given(segment_cases())
     def test_segment_sum_matches_scatter(self, case):
         seg, num, values, _ = case
-        out = ad.segment_sum(Tensor(values), seg, num).value
+        out = ad.segment_sum(Tensor(values), pair_view(seg, num)).value
         assert out.shape == (num, values.shape[1])
         assert np.array_equal(out, ref_segment_sum(values, seg, num))
 
@@ -341,7 +347,7 @@ class TestSegmentPrimitives:
     @given(segment_cases())
     def test_segment_softmax_matches_scatter(self, case):
         seg, num, values, g = case
-        out = ad.segment_softmax(Tensor(values), seg, num)
+        out = ad.segment_softmax(Tensor(values), pair_view(seg, num))
         want, want_grad = ref_segment_softmax(values, seg, num, g)
         assert np.array_equal(out.value, want)
         assert np.array_equal(out._vjps[0](g), want_grad)
@@ -351,26 +357,108 @@ class TestSegmentPrimitives:
     def test_segment_prod_matches_scatter(self, case):
         seg, num, values, g = case
         g_out = ref_segment_sum(g, seg, num)
-        out = ad.segment_prod(Tensor(values), seg, num)
+        out = ad.segment_prod(Tensor(values), pair_view(seg, num))
         want, want_grad = ref_segment_prod(values, seg, num, g_out)
         np.testing.assert_array_equal(out.value, want)
         np.testing.assert_array_equal(out._vjps[0](g_out), want_grad)
 
     @settings(max_examples=50, deadline=None)
     @given(segment_cases(), st.integers(1, 4))
-    def test_sparse_matmul_grad_check(self, case, cols):
+    def test_weighted_segment_sum_grad_check(self, case, cols):
         seg, num, _, g = case
         rng = np.random.default_rng(len(seg) * 7 + num)
         src = rng.integers(0, cols, size=len(seg))
-        m = sparse.csr_array((g[:, 0], (seg, src)), shape=(num, cols))
+        view = segment_view(src, seg, num, cols)
+        dense = np.zeros((num, cols))
+        np.add.at(dense, (seg, src), g[:, 0])
         a = ad.parameter(rng.normal(size=(cols, 2)))
+        w = ad.parameter(g[:, :1])
         c = ad.constant(rng.normal(size=(num, 2)))
-        out = ad.sparse_matmul(m, a)
-        np.testing.assert_allclose(out.value, m.toarray() @ a.value, rtol=1e-12, atol=1e-12)
-        report = nn.grad_check(lambda: ad.sum_all(ad.mul(ad.sparse_matmul(m, a), c)),
-                               {"a": a})
+        out = ad.segment_sum(a, view, w)
+        np.testing.assert_allclose(out.value, dense @ a.value, rtol=1e-12, atol=1e-12)
+        report = nn.grad_check(lambda: ad.sum_all(ad.mul(ad.segment_sum(a, view, w), c)),
+                               {"a": a, "w": w})
         assert report.max_rel_err < 1e-6, str(report)
 
-    def test_sparse_matmul_shape_mismatch(self):
+    def test_segment_sum_shape_mismatch(self):
+        view = segment_view([0, 2], [1, 0], 2, 3)
         with pytest.raises(ad.ShapeMismatchError):
-            ad.sparse_matmul(sparse.csr_array((2, 3)), Tensor(np.ones((4, 1))))
+            ad.segment_sum(Tensor(np.ones((4, 1))), view)
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.segment_sum(Tensor(np.ones((3, 1))), view, np.ones((3, 1)))
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.segment_softmax(Tensor(np.ones((3, 1))), view)
+
+
+# --- segment_sum against the gather -> mul -> scatter chain it replaced ------
+
+
+WEIGHTS = ["none", "constant", "tensor"]
+
+
+def ref_weighted_sum(x, view, w, g):
+    """Reference: gather the source rows, scale each by its pair weight
+    and scatter-add them into segments in pair order; with the vector-
+    Jacobian products of that chain for ``x`` and for the weights."""
+    src, seg = view.src, view.seg
+    out = ref_segment_sum(x[src] * w, seg, view.count)
+    return (out, ref_segment_sum(g[seg] * w, src, view.src_count),
+            (g[seg] * x[src]).sum(axis=1, keepdims=True))
+
+
+def weighted_segment_sum(x, view, w, mode):
+    """``segment_sum`` with the weights ``w`` passed as ``mode`` says."""
+    if mode == "none":
+        return ad.segment_sum(ad.parameter(x), view)
+    return ad.segment_sum(ad.parameter(x), view, ad.parameter(w) if mode == "tensor" else w)
+
+
+@st.composite
+def view_cases(draw):
+    """A view with unsorted segments, repeated sources, empty segments
+    and possibly no pairs; source rows (some exactly zero, some large),
+    signed pair weights with exact zeros, and an output gradient."""
+    seg, num, _, _ = draw(segment_cases())
+    src_count = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src = rng.integers(0, src_count, size=len(seg))
+    width = draw(st.sampled_from([1, 3, 16]))
+    x = rng.normal(size=(src_count, width)) * rng.choice([0.0, 1.0, 1e6], size=(src_count, 1))
+    w = rng.normal(size=(len(seg), 1)) * rng.choice([0.0, 1.0], size=(len(seg), 1))
+    return segment_view(src, seg, num, src_count), x, w, rng.normal(size=(num, width))
+
+
+class TestSegmentSumOnViews:
+    @pytest.mark.parametrize("mode", WEIGHTS)
+    @settings(max_examples=150, deadline=None)
+    @given(view_cases())
+    def test_matches_gather_mul_scatter(self, mode, case):
+        view, x, w, g = case
+        if mode == "none":
+            w = np.ones_like(w)
+        out = weighted_segment_sum(x, view, w, mode)
+        want, want_dx, want_dw = ref_weighted_sum(x, view, w, g)
+        assert np.array_equal(out.value, want)
+        if mode == "tensor":
+            assert np.array_equal(out._vjps[1](g), want_dw)
+        # a shuffled view adds a source row's gradients segment by
+        # segment, not in pair order: equal up to rounding
+        dx = out._vjps[0](g)
+        scale = ref_segment_sum(np.abs(g[view.seg] * w), view.src, view.src_count)
+        assert np.abs(dx - want_dx).max(initial=0.0) <= 1e-9 * scale.max(initial=1e-12)
+
+    @pytest.mark.parametrize("mode", WEIGHTS)
+    @settings(max_examples=40, deadline=None)
+    @given(case=hypergraphs_with_features(), seed=st.integers(0, 2**32 - 1))
+    def test_x_grad_exact_on_incidence_views(self, mode, case, seed):
+        hg, x = case
+        inc = hg.incidence
+        rng = np.random.default_rng(seed)
+        for view in (inc.v2e, inc.e2v, *inc.pair_views):
+            rows = rng.normal(size=(view.src_count, x.shape[1]))
+            w = rng.normal(size=(len(view.seg), 1))
+            if mode == "none":
+                w = np.ones_like(w)
+            g = rng.normal(size=(view.count, x.shape[1]))
+            out = weighted_segment_sum(rows, view, w, mode)
+            assert np.array_equal(out._vjps[0](g), ref_weighted_sum(rows, view, w, g)[1])

@@ -7,6 +7,7 @@ from hgx import hypergraph as hgm
 from hgx.hypergraph import (
     EmptyEdgeError,
     HgParseError,
+    HypergraphError,
     NodeIdOutOfRangeError,
     NodeIdTypeError,
     NonpositiveWeightError,
@@ -83,6 +84,16 @@ class TestConstruction:
     def test_numpy_bool_node_id_rejected(self):
         with pytest.raises(NodeIdTypeError):
             from_edge_list(3, [[np.True_, 2]])
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, np.True_, "3", None])
+    def test_non_integer_node_count_rejected(self, n):
+        with pytest.raises(HypergraphError) as exc:
+            from_edge_list(n, [[0]])
+        assert str(exc.value) == f"node count must be an integer, got {n!r}"
+
+    def test_integer_node_count_types_accepted(self):
+        hg = from_edge_list(np.int64(3), [[0, 2]])
+        assert hg.n == 3 and type(hg.n) is int
 
     def test_integer_types_accepted(self):
         hg = from_edge_list(3, [[np.int64(1), 2], (v for v in [np.int32(0), 1])])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hgx import autodiff as ad
 from hgx import nn, rules
-from hgx.hypergraph import NotUniformError, from_edge_list
+from hgx.hypergraph import NotUniformError, from_edge_list, segment_view
 from hgx.rules import (
     DegenerateEdgeError,
     NegativeBaseError,
@@ -231,6 +231,12 @@ class TestHgnn:
 
 
 class TestHcha:
+    def test_edge_feats_without_attention_params_rejected(self):
+        hg = from_edge_list(3, [[0, 1], [1, 2]])
+        params = init_hcha_params(nn.make_rng(3), 2, 2)
+        with pytest.raises(ValueError, match=r"init_hcha_params\(\.\.\., f_edge=\.\.\.\)"):
+            hcha_layer(hg, np.ones((3, 2)), params, edge_feats=np.ones((2, 2)))
+
     def test_uniform_attention_without_edge_feats(self):
         hg = from_edge_list(3, [[0, 1], [1, 2], [0, 1, 2]])
         params = init_hcha_params(nn.make_rng(3), 2, 2)
@@ -262,7 +268,8 @@ class TestHcha:
             [ad.gather_rows(ad.constant(x), pn), ad.gather_rows(ad.constant(z), pe)]
         )
         scores = ad.leaky_relu(ad.row_sum(ad.mul(pair_cat, params["hcha.att"])), 0.2)
-        alpha = ad.segment_softmax(scores, pn, hg.n)
+        by_node = segment_view(np.arange(len(pn)), pn, hg.n, len(pn))
+        alpha = ad.segment_softmax(scores, by_node)
         sums = np.zeros((hg.n, 1))
         np.add.at(sums, pn, alpha.value)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
