@@ -364,8 +364,9 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     p = len(idx)
 
     def vjp(g):  # one entry per column: a scatter without a sort
+        rows = np.where(idx < 0, idx + a.shape[0], idx)  # forward checked the range
         cols = np.arange(p + 1)
-        return sparse.csc_array((np.ones(p), idx, cols), shape=(a.shape[0], p)) @ g
+        return sparse.csc_array((np.ones(p), rows, cols), shape=(a.shape[0], p)) @ g
 
     return Tensor(a.value[idx], _parents=(a,), _vjps=(vjp,))
 
@@ -414,12 +415,11 @@ def _leave_one_out_prod(values: np.ndarray, seg: np.ndarray, m) -> np.ndarray:
     prod_nz = _segment_reduce(np.multiply, nonzero, m, 1.0)
     zero_count = m @ is_zero.astype(np.float64)
     zc = zero_count[seg]
-    loo = np.where(
+    return np.where(
         zc == 0,
         prod_nz[seg] / nonzero,
         np.where((zc == 1) & is_zero, prod_nz[seg], 0.0),
     )
-    return loo
 
 
 def segment_prod(a: Tensor, view) -> Tensor:

@@ -147,12 +147,15 @@ class SegmentView:
 
 
 def segment_view(src, seg, count: int, src_count: int) -> SegmentView:
-    """Build a read-only view from arbitrary pair arrays whose sources
-    index ``src_count`` rows."""
+    """Build a read-only view from pair arrays; a ``seg`` id outside
+    ``[0, count)`` or a ``src`` id outside ``[0, src_count)`` raises."""
     seg = _readonly(np.array(seg, dtype=np.int64))
+    src = _readonly(np.array(src, dtype=np.int64))
+    for name, ids, bound in (("seg", seg, count), ("src", src, src_count)):
+        if ids.shape != seg.shape[:1] or len(ids) and not 0 <= ids.min() <= ids.max() < bound:
+            raise HypergraphError(f"{name} must be {len(seg)} ids in [0, {bound})")
     sizes = _readonly(np.bincount(seg, minlength=count).astype(np.float64))
     nonempty = _readonly((sizes > 0).astype(np.float64).reshape(-1, 1))
-    src = _readonly(np.array(src, dtype=np.int64))
     return SegmentView(src, seg, int(count), int(src_count), sizes, nonempty)
 
 

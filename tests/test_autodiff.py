@@ -245,6 +245,13 @@ class TestGradients:
             lambda: ad.sum_all(ad.mul(ad.gather_rows(t, idx), c)), t
         )
 
+    def test_gather_rows_negative_index_grads_the_wrapped_row(self):
+        t = ad.parameter(np.arange(6.0).reshape(3, 2))
+        ad.sum_all(ad.gather_rows(t, np.array([-1, 0, -3, -1]))).backward()
+        np.testing.assert_array_equal(t.grad, [[2.0, 2.0], [0.0, 0.0], [2.0, 2.0]])
+        with pytest.raises(IndexError):
+            ad.gather_rows(t, np.array([-4]))
+
     def test_concat_cols_grad(self):
         rng = np.random.default_rng(19)
         a = ad.parameter(rng.normal(size=(3, 2)))

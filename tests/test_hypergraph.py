@@ -185,6 +185,15 @@ class TestIncidence:
         assert_same(inc.v2e.sizes, inc.edge_sizes.astype(np.float64))
         assert inc.e2v.nonempty[:, 0].tolist() == [1.0, 1.0, 1.0, 0.0, 1.0]
 
+    @pytest.mark.parametrize("src, seg", [
+        ([0, 3], [0, 1]), ([0, -1], [0, 1]),  # source outside [0, 3)
+        ([0, 1], [0, 2]), ([0, 1], [-1, 0]),  # segment outside [0, 2)
+        ([0, 1], [0]), ([[0, 1]], [[0, 1]]),  # not one list of pairs
+    ])
+    def test_segment_view_rejects_ids_out_of_range(self, src, seg):
+        with pytest.raises(HypergraphError):
+            hgm.segment_view(src, seg, 2, 3)
+
     def test_shims_read_the_cache(self):
         hg = from_edge_list(3, [[0, 1], [1, 2]], weights=[2.0, 0.5])
         inc = hg.incidence
