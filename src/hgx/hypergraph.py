@@ -74,7 +74,8 @@ class Hypergraph:
         Hyperedges as strictly increasing id tuples.  Duplicate hyperedges
         are allowed and kept as distinct edges.
     weights : tuple[float, ...] | None
-        Optional positive per-edge weights (``None`` means all 1.0).
+        Optional positive per-edge weights (``None`` means all 1.0, and
+        is the only form of an edgeless hypergraph's weights).
     """
 
     n: int
@@ -259,7 +260,7 @@ def from_edge_list(
         for k, w in enumerate(weights):
             if not (w > 0) or not np.isfinite(w):
                 raise NonpositiveWeightError(f"edge {k}: weight {w} must be > 0")
-        wtup = weights
+        wtup = weights or None  # no edges, no weights: one form, as .hg text has
     return Hypergraph(n=n, edges=tuple(canon), weights=wtup)
 
 

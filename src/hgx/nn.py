@@ -7,6 +7,7 @@ same way.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
@@ -25,7 +26,7 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-_ACTIVATIONS: Dict[str, Callable[[Tensor], Tensor]] = {
+ACTIVATIONS: Dict[str, Callable[[Tensor], Tensor]] = {
     "relu": ad.relu,
     "elu": ad.elu,
     "leakyrelu": lambda t: ad.leaky_relu(t, 0.2),
@@ -44,12 +45,14 @@ class MlpSpec:
     bias: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        if any(isinstance(w, bool) or not hasattr(w, "__index__") for w in self.widths):
+            raise ValueError(f"widths must be integers: {self.widths}")
+        object.__setattr__(self, "widths", tuple(map(operator.index, self.widths)))
         if len(self.widths) < 2:
             raise ValueError("MlpSpec needs an input and at least one output width")
         if any(w <= 0 for w in self.widths):
             raise ValueError(f"widths must be positive: {self.widths}")
-        if self.activation not in _ACTIVATIONS:
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
@@ -87,7 +90,7 @@ def mlp_forward(
         raise ad.ShapeMismatchError(
             f"mlp {prefix!r} expects {spec.in_dim} columns, got {x.shape[1]}"
         )
-    act = _ACTIVATIONS[spec.activation]
+    act = ACTIVATIONS[spec.activation]
     h = x
     last = len(spec.widths) - 2
     for i in range(len(spec.widths) - 1):
@@ -116,14 +119,24 @@ def cross_entropy_loss(
 ) -> Tensor:
     """Mean negative log-softmax of the true class over the masked rows.
 
-    ``labels`` holds one class id per logit row; ``mask`` is an index
-    array selecting the rows that contribute.
+    ``labels`` holds one integer class id per logit row; ``mask`` is an
+    index array selecting the rows that contribute.  Labels that are not
+    integers, a label count other than the row count, or a masked label
+    outside ``[0, classes)`` raise ``ValueError``.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise EmptyMaskError("cross entropy over an empty row subset")
+    rows, classes = logits.shape
+    if labels.dtype.kind not in "iu" or labels.shape != (rows,):
+        raise ValueError(f"{labels.dtype} labels of shape {labels.shape} "
+                         f"for {rows} logit rows; need one integer per row")
     picked = ad.gather_rows(logits, mask)
+    true = labels[mask]
+    bad = (true < 0) | (true >= classes)
+    if bad.any():
+        raise ValueError(f"label {true[bad][0]} not in [0, {classes})")
     # log-softmax with a constant per-row shift (exact: softmax is
     # shift-invariant, so the shift contributes no gradient)
     shift = ad.constant(picked.value.max(axis=1, keepdims=True))
@@ -131,7 +144,7 @@ def cross_entropy_loss(
     lse = ad.log(ad.row_sum(ad.exp(z)))
     logp = ad.sub(z, lse)
     onehot = np.zeros(picked.shape)
-    onehot[np.arange(mask.size), labels[mask]] = 1.0
+    onehot[np.arange(mask.size), true] = 1.0
     total = ad.sum_all(ad.mul(logp, ad.constant(onehot)))
     return ad.mul(total, ad.constant(-1.0 / mask.size))
 

@@ -7,11 +7,16 @@ them: CEpropH is a shared-state sum/sum layer, CEpropA the pair-state
 sum/sum layer, and Zprop (d - 1) times the pair-state product/sum layer.
 They take and return numpy arrays.  The trainable layers (HGNN, HCHA,
 HNHN, HyperGCN, HyperSAGE) run on the autodiff engine so their
-parameters can be optimized and gradient-checked.
+parameters can be optimized and gradient-checked.  Every aggregation is
+a segment op over a view: the incidence's two directions, or, for
+HyperGCN, a view built per forward pass from the ``(row, column,
+weight)`` triples of its mediator-routed ``W``, applied to the projected
+features as ``W (X Theta)``.  No layer holds a dense n-by-n matrix.
 
 Conventions shared by every rule:
   - features are one row per node;
-  - hyperedges and their members are iterated in canonical sorted order;
+  - hyperedges and their members are iterated in canonical sorted order,
+    and ties between members go to the smaller node id;
   - zero-degree nodes produce zero output rows wherever a degree
     normalizer would otherwise divide by zero.
 """
@@ -27,7 +32,7 @@ from . import autodiff as ad
 from . import nn
 from .allset import AllSetLayer, ProductPool, SumPool
 from .autodiff import ShapeMismatchError, Tensor
-from .hypergraph import Hypergraph, NotUniformError
+from .hypergraph import Hypergraph, NotUniformError, segment_view
 
 
 class NonPositiveInputError(ValueError):
@@ -134,6 +139,13 @@ def h_prop(hg: Hypergraph, x: np.ndarray, d: int) -> np.ndarray:
 # --- trainable layers -------------------------------------------------------
 
 
+def _activation(name: str, allowed: tuple):
+    """The activation ``name``, which must be one of ``allowed``."""
+    if name not in allowed:
+        raise ValueError(f"unknown activation {name!r}; expected one of {allowed}")
+    return nn.ACTIVATIONS[name]
+
+
 def _as_tensor(x: Union[np.ndarray, Tensor]) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
@@ -204,6 +216,7 @@ def hcha_layer(
     unusable and the layer falls back to uniform weights 1/d_u and
     1/d_v.
     """
+    act = _activation(activation, ("elu", "relu"))
     xt = _node_tensor(hg, x)
     inc = hg.incidence
     pn, pe = inc.nodes, inc.edges
@@ -231,7 +244,6 @@ def hcha_layer(
     outer = ad.segment_sum(inner, inc.e2v, ad.mul(alpha, edge_scale))
     outer = ad.mul(outer, ad.constant(inv_deg.reshape(-1, 1)))
     pre = ad.add(ad.matmul(outer, params["hcha.theta"]), params["hcha.bias"])
-    act = {"elu": ad.elu, "relu": ad.relu}[activation]
     return ad.mul(act(pre), ad.constant(inc.e2v.nonempty))
 
 
@@ -260,9 +272,11 @@ def hnhn_layer(
     ``edge_size`` variant sums |e|**alpha instead.  Returns
     ``(edge_state, node_state)``.
     """
+    act = _activation(activation, ("relu", "identity"))
     xt = _node_tensor(hg, x)
     if node_normalizer not in ("as_printed", "edge_size"):
-        raise ValueError(f"unknown node_normalizer {node_normalizer!r}")
+        raise ValueError(f"unknown node_normalizer {node_normalizer!r}; "
+                         "expected one of ('as_printed', 'edge_size')")
     inc = hg.incidence
     pn, pe = inc.nodes, inc.edges
     deg = inc.e2v.sizes
@@ -271,7 +285,6 @@ def hnhn_layer(
     d_el = np.bincount(pe, weights=deg_beta[pn], minlength=hg.num_edges)
     if hg.num_edges and not (d_el > 0).all():
         raise ZeroNormalizerError("edge-side normalizer vanished")
-    act = {"relu": ad.relu, "identity": lambda t: t}[activation]
     edge_sum = ad.segment_sum(xt, inc.v2e, deg_beta[pn].reshape(-1, 1))
     edge_avg = ad.mul(edge_sum, ad.constant((1.0 / d_el).reshape(-1, 1)))
     z_out = act(
@@ -298,46 +311,87 @@ def init_hypergcn_params(rng, f_in: int, f_out: int) -> Dict[str, Tensor]:
     return init_linear_params(rng, f_in, f_out, "hypergcn")
 
 
-def mediator_pair(projected: np.ndarray, members: tuple) -> tuple:
-    """Feature-extreme pair of an edge: the (u, v) pair, u < v, whose
-    projected features are farthest apart; ties go to the
-    lexicographically smallest pair."""
-    best, best_dist = None, -1.0
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            u, v = members[a], members[b]
-            dist = float(np.linalg.norm(projected[u] - projected[v]))
-            if dist > best_dist + 1e-15:
-                best, best_dist = (u, v), dist
-    return best
+def hypergcn_mediators(hg: Hypergraph, projected: np.ndarray) -> np.ndarray:
+    """The ``(num_edges, 2)`` int64 mediator pairs: for each edge, the
+    members ``(u, v)``, ``u < v``, whose ``projected`` rows are farthest
+    apart.  Ties go to the lexicographically first pair: squared
+    distances of direct differences ``P[v] - P[u]`` are compared exactly
+    (``np.argmax`` keeps the first maximum).  There is no slack: a pair
+    farther by less than 1e-15, which a loop with a 1e-15 margin on the
+    distance would pass over, is chosen.
+
+    Edges are batched by size ``k``; pass ``a`` pairs member ``a`` with
+    every later member, so it holds one ``(E_k, k - a - 1, f)`` array of
+    direct differences, never all ``k (k - 1) / 2`` of them.  Every edge
+    needs at least two members."""
+    inc = hg.incidence
+    sizes = inc.edge_sizes
+    if (sizes < 2).any():
+        bad = hg.edges[int(np.argmax(sizes < 2))]
+        raise DegenerateEdgeError(f"edge {bad} has fewer than 2 nodes")
+    first = np.cumsum(sizes) - sizes
+    out = np.empty((hg.num_edges, 2), dtype=np.int64)
+    for k in np.unique(sizes):
+        es = np.flatnonzero(sizes == k)
+        members = inc.nodes[first[es, None] + np.arange(k)]  # (E_k, k)
+        rows = np.arange(len(es))
+        best = np.full(len(es), -1.0)
+        pair = members[:, :2].copy()
+        for a in range(k - 1):
+            diff = projected[members[:, a + 1:]]
+            diff -= projected[members[:, a]][:, None]
+            dist = np.einsum("ebf,ebf->eb", diff, diff)
+            b = np.argmax(dist, axis=1)
+            far = dist[rows, b]
+            better = far > best  # strict: an earlier pair keeps a tie
+            best[better] = far[better]
+            pair[better] = np.stack(
+                [members[better, a], members[rows, a + 1 + b][better]], axis=1
+            )
+        out[es] = pair
+    return out
 
 
-def hypergcn_edge_weights(hg: Hypergraph, projected: np.ndarray) -> np.ndarray:
-    """Mediator-routed pair weights, accumulated into an n-by-n matrix.
-    Every edge needs at least two members."""
-    W = np.zeros((hg.n, hg.n))
-    for members in hg.edges:
-        if len(members) < 2:
-            raise DegenerateEdgeError(f"edge {members} has fewer than 2 nodes")
-        i_e, j_e = mediator_pair(projected, members)
-        w = 1.0 / (2 * len(members) - 3)
-        for v in members:
-            for u in members:
-                if u in (i_e, j_e) or v in (i_e, j_e):
-                    W[v, u] += w
-    return W
+def hypergcn_edge_weights(hg: Hypergraph, projected: np.ndarray) -> tuple:
+    """Mediator-routed pair weights as ``(view, weights)``: the triples
+    ``(v, u, w)`` of HyperGCN's ``W``, for :func:`ad.segment_sum`.
+
+    Edge ``e`` with mediators ``(i, j)`` (:func:`hypergcn_mediators`)
+    contributes, in edge order, the ``4|e| - 4`` pairs ``(v, u)`` of two
+    members at least one of which is a mediator: for each member ``u`` in
+    turn, ``(i, u)`` and ``(j, u)``, then ``(u, i)`` and ``(u, j)`` unless
+    ``u`` is a mediator.  Each weighs ``1 / (2|e| - 3)``.  The view
+    reduces column ``u`` (source) into row ``v`` (segment), and a segment
+    adds its pairs in the order of a loop over edges, rows, then columns.
+    Pairs shared by several edges stay separate and add up."""
+    inc = hg.incidence
+    med = hypergcn_mediators(hg, projected)
+    e, u = inc.edges, inc.nodes
+    i, j = med[e, 0], med[e, 1]
+    keep = np.ones((len(u), 4), dtype=bool)
+    keep[:, 2:] = ((u != i) & (u != j))[:, None]
+    rows = np.stack([i, j, u, u], axis=1)[keep]
+    cols = np.stack([u, u, i, j], axis=1)[keep]
+    w = 1.0 / (2 * inc.edge_sizes - 3)
+    weights = np.broadcast_to(w[e, None], keep.shape)[keep].reshape(-1, 1)
+    return segment_view(cols, rows, hg.n, hg.n), weights
 
 
 def hypergcn_layer(hg: Hypergraph, x, params: Dict[str, Tensor]) -> Tensor:
-    """Mediator-based incomplete clique propagation: each hyperedge
-    routes weight through its feature-extreme pair, then a shared linear
-    map and ReLU are applied."""
+    """Mediator-based incomplete clique propagation,
+    ``relu(W (X Theta) + b)``.
+
+    The layer projects once, picks each edge's mediators from the
+    projected rows, and aggregates them through ``W``'s triples
+    (:func:`hypergcn_edge_weights`): ``W (X Theta)`` equals the printed
+    ``(W X) Theta`` up to rounding and aggregates ``f_out`` columns
+    instead of ``f_in``.  The mediators are a constant of the forward
+    pass: no gradient flows through their choice."""
     xt = _node_tensor(hg, x)
-    projected = xt.value @ params["hypergcn.theta"].value
-    W = hypergcn_edge_weights(hg, projected)
-    agg = ad.matmul(ad.constant(W), xt)
-    pre = ad.add(ad.matmul(agg, params["hypergcn.theta"]), params["hypergcn.bias"])
-    return ad.relu(pre)
+    projected = ad.matmul(xt, params["hypergcn.theta"])
+    view, weights = hypergcn_edge_weights(hg, projected.value)
+    agg = ad.segment_sum(projected, view, weights)
+    return ad.relu(ad.add(agg, params["hypergcn.bias"]))
 
 
 def init_hypersage_params(rng, f_in: int, f_out: int) -> Dict[str, Tensor]:
@@ -351,6 +405,7 @@ def hypersage_layer(
     """Power-mean aggregation over edges then over a node's incident
     edges, a residual add, row normalization, and a linear map plus
     activation."""
+    act = _activation(activation, ("relu", "identity"))
     if p < 1:
         raise ValueError(f"power-mean order must be >= 1, got {p}")
     xt = _node_tensor(hg, x)
@@ -375,7 +430,6 @@ def hypersage_layer(
         ad.constant(1.0), ad.sqrt(ad.row_sum(ad.mul(x_star, x_star)))
     )
     normalized = ad.mul(x_star, inv_norm)
-    act = {"relu": ad.relu, "identity": lambda t: t}[activation]
     return act(ad.matmul(normalized, params["hypersage.theta"]))
 
 

@@ -7,6 +7,8 @@ the package so that no path is checked against itself:
   loop over (edge, member) pair states, the reference for the pair-state
   layer variant;
 - the dense clique-expansion matrices and the order-d adjacency tensor;
+- HyperGCN's loop-chosen mediator pairs, its dense ``W`` filled by a
+  loop over member pairs, and the layer as printed on that ``W``;
 - the equivalence suite: classical propagation rules recovered as
   compositions of two multiset functions.  Each case evaluates a
   hand-rolled, loop-based two-phase construction (node->edge
@@ -155,6 +157,42 @@ def build_adjacency_tensor(hg: Hypergraph, d: int) -> np.ndarray:
     return A
 
 
+def mediator_pair(projected: np.ndarray, members: tuple) -> tuple:
+    """HyperGCN's feature-extreme pair of an edge, by a loop over member
+    pairs: the (u, v) pair, u < v, whose projected features are farthest
+    apart; a later pair must be farther by more than 1e-15 to replace an
+    earlier one, so ties go to the lexicographically smallest pair."""
+    best, best_dist = None, -1.0
+    for a in range(len(members)):
+        for b in range(a + 1, len(members)):
+            u, v = members[a], members[b]
+            dist = float(np.linalg.norm(projected[u] - projected[v]))
+            if dist > best_dist + 1e-15:
+                best, best_dist = (u, v), dist
+    return best
+
+
+def hypergcn_dense_weights(hg: Hypergraph, projected: np.ndarray) -> np.ndarray:
+    """HyperGCN's mediator-routed n-by-n ``W``, accumulated edge by edge
+    with a loop over every member pair."""
+    W = np.zeros((hg.n, hg.n))
+    for members in hg.edges:
+        if len(members) < 2:
+            raise rules.DegenerateEdgeError(f"edge {members} has fewer than 2 nodes")
+        i_e, j_e = mediator_pair(projected, members)
+        w = 1.0 / (2 * len(members) - 3)
+        for v in members:
+            for u in members:
+                if u in (i_e, j_e) or v in (i_e, j_e):
+                    W[v, u] += w
+    return W
+
+
+def hypergcn_layer(hg: Hypergraph, x: np.ndarray, theta: np.ndarray,
+                   bias: np.ndarray) -> np.ndarray:
+    """HyperGCN as printed, ``relu((W X) Theta + b)`` with a dense ``W``."""
+    W = hypergcn_dense_weights(hg, x @ theta)
+    return np.maximum((W @ x) @ theta + bias, 0.0)
 
 
 # --- equivalence suite -----------------------------------------------------------

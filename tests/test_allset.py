@@ -105,6 +105,22 @@ class TestLearnedPools:
         want = SumPool().aggregate({}, x, hg.incidence.v2e, "f")
         np.testing.assert_array_equal(got.value, want.value)
 
+    @settings(max_examples=100, deadline=None)
+    @given(hypergraphs_with_features())
+    def test_deepsets_with_identity_mlps_is_sum_pool(self, case):
+        hg, x = case
+        f = x.shape[1]
+        identity = MlpSpec((f, f), activation="identity", bias=False)
+        pool = DeepSetsPool(identity, identity)
+        params = {"f.inner.w0": ad.parameter(np.eye(f)),
+                  "f.outer.w0": ad.parameter(np.eye(f))}
+        edge_rows = np.resize(x, (hg.num_edges, f))  # x's rows, repeated as needed
+        for view, rows in ((hg.incidence.v2e, x), (hg.incidence.e2v, edge_rows)):
+            rows = ad.constant(rows)
+            got = pool.aggregate(params, rows, view, "f")
+            want = SumPool().aggregate({}, rows, view, "f")
+            np.testing.assert_array_equal(got.value, want.value)
+
     def test_singleton_attention_weight_is_one(self):
         # |S| = 1: softmax over one logit is exactly 1, so the attended
         # row equals that element's value row

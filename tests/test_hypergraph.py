@@ -424,6 +424,20 @@ class TestHgFormat:
         hg = from_edge_list(4, [[0, 3], [1, 2, 3]])
         assert parse_hg(format_hg(hg)) == hg
 
+    def test_edgeless_hypergraph_has_no_weights(self):
+        # an empty weight list cannot be written as .hg text
+        hg = from_edge_list(3, [], weights=[])
+        assert hg.weights is None
+        assert parse_hg(format_hg(hg)) == hg
+
+    @settings(max_examples=200, deadline=None)
+    @given(hypergraphs())
+    def test_format_then_parse_round_trips(self, hg):
+        text = format_hg(hg)
+        again = parse_hg(text)
+        assert again == hg
+        assert format_hg(again) == text
+
     def test_comments_and_blanks(self):
         text = "# a comment\n3 2\n\n0 1\n# another\n1 2 w=1.5\n"
         hg = parse_hg(text)

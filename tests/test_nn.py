@@ -67,6 +67,14 @@ class TestMlp:
         with pytest.raises(ValueError):
             MlpSpec((4, 2), activation="tanh")
 
+    @pytest.mark.parametrize("widths", [(2.5, 3.9), (4, 2.0), (True, 3), (4, "3"), (4, None)])
+    def test_non_integer_widths_rejected(self, widths):
+        with pytest.raises(ValueError, match="widths must be integers"):
+            MlpSpec(widths)
+
+    def test_integer_like_widths_accepted(self):
+        assert MlpSpec((np.int64(4), 3)).widths == (4, 3)
+
 
 class TestLayerNorm:
     def _gb(self, width):
@@ -118,6 +126,21 @@ class TestCrossEntropy:
     def test_empty_mask(self):
         with pytest.raises(EmptyMaskError):
             cross_entropy_loss(Tensor(np.zeros((2, 2))), np.array([0, 1]), np.array([]))
+
+    @pytest.mark.parametrize("labels, match", [
+        ([0, -1, 1], r"label -1 not in \[0, 3\)"),
+        ([0, 3, 1], r"label 3 not in \[0, 3\)"),
+        ([0, 1, 2, 0], "one integer per row"),
+        ([0, 1], "one integer per row"),
+        ([0.0, 1.0, 2.0], "one integer per row"),
+    ])
+    def test_bad_labels_rejected(self, labels, match):
+        with pytest.raises(ValueError, match=match):
+            cross_entropy_loss(Tensor(np.zeros((3, 3))), np.array(labels), np.arange(3))
+
+    def test_unmasked_labels_are_not_read(self):
+        loss = cross_entropy_loss(Tensor(np.zeros((3, 2))), np.array([0, 1, -1]), np.arange(2))
+        np.testing.assert_allclose(loss.value.item(), np.log(2.0), atol=1e-12)
 
     def test_gradcheck(self):
         rng = nn.make_rng(21)

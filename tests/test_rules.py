@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
@@ -331,22 +334,53 @@ class TestHnhn:
         assert nn.grad_check(build, params).max_rel_err < 1e-4
 
 
+def densify(hg, view, weights):
+    """HyperGCN's ``W`` as an n-by-n array, read off its triples."""
+    return ad.segment_sum(ad.constant(np.eye(hg.n)), view, weights).value
+
+
+@st.composite
+def hypergcn_cases(draw, integer=True):
+    """Hypergraphs whose edges have 2 to 9 members, with ``x`` and
+    ``theta`` drawn from small integers (so ``x @ theta`` is exact and
+    distance ties are decided the same way by every tie rule) or from a
+    normal distribution (so distance ties have probability zero)."""
+    n = draw(st.integers(2, 10))
+    sizes = draw(st.lists(st.integers(2, min(n, 9)), min_size=1, max_size=8))
+    edges = [draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+             for k in sizes]
+    f_in, f_out = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if integer:
+        x = rng.integers(-3, 4, size=(n, f_in)).astype(np.float64)
+        theta = rng.integers(-2, 3, size=(f_in, f_out)).astype(np.float64)
+    else:
+        x, theta = rng.normal(size=(n, f_in)), rng.normal(size=(f_in, f_out))
+    bias = rng.normal(size=(1, f_out))
+    return from_edge_list(n, edges), x, theta, bias
+
+
+def hypergcn_params(theta, bias):
+    return {"hypergcn.theta": ad.parameter(theta), "hypergcn.bias": ad.parameter(bias)}
+
+
 class TestHyperGcn:
     def test_pair_edge_weight_is_one(self):
         hg = from_edge_list(2, [[0, 1]])
         rng = nn.make_rng(9)
         params = init_hypergcn_params(rng, 2, 2)
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        W = rules.hypergcn_edge_weights(
+        view, w = rules.hypergcn_edge_weights(
             hg, x @ params["hypergcn.theta"].value
         )
         # |e| = 2: weight 1/(2*2-3) = 1 for every pair touching an extreme
-        np.testing.assert_array_equal(W, [[1.0, 1.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(densify(hg, view, w), [[1.0, 1.0], [1.0, 1.0]])
 
     def test_tie_breaking_is_lexicographic_and_deterministic(self):
         hg = from_edge_list(4, [[0, 1, 2, 3]])
         projected = np.ones((4, 2))  # all-equal features: every pair ties
-        assert rules.mediator_pair(projected, (0, 1, 2, 3)) == (0, 1)
+        np.testing.assert_array_equal(rules.hypergcn_mediators(hg, projected), [[0, 1]])
+        assert oracles.mediator_pair(projected, (0, 1, 2, 3)) == (0, 1)
         rng = nn.make_rng(10)
         params = init_hypergcn_params(rng, 2, 2)
         out1 = hypergcn_layer(hg, np.ones((4, 2)), params)
@@ -358,7 +392,7 @@ class TestHyperGcn:
         # nodes carry weight; the mediator's self-pair stays zero
         hg = from_edge_list(3, [[0, 1, 2]])
         projected = np.array([[0.0], [10.0], [1.0]])  # extremes are (0, 1)
-        W = rules.hypergcn_edge_weights(hg, projected)
+        W = densify(hg, *rules.hypergcn_edge_weights(hg, projected))
         assert W[2, 2] == 0.0
         w = 1.0 / 3.0
         for u, v in [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (1, 2), (2, 1)]:
@@ -381,6 +415,65 @@ class TestHyperGcn:
             return ad.sum_all(ad.mul(hypergcn_layer(hg, x, params), ad.constant(c)))
 
         assert nn.grad_check(build, params).max_rel_err < 1e-4
+
+    @settings(max_examples=150, deadline=None)
+    @given(hypergcn_cases())
+    def test_mediators_and_weights_equal_loop_oracles(self, case):
+        hg, x, theta, _ = case
+        projected = x @ theta
+        want = [oracles.mediator_pair(projected, m) for m in hg.edges]
+        np.testing.assert_array_equal(rules.hypergcn_mediators(hg, projected), want)
+        W = densify(hg, *rules.hypergcn_edge_weights(hg, projected))
+        assert np.array_equal(W, oracles.hypergcn_dense_weights(hg, projected))
+
+    @settings(max_examples=100, deadline=None)
+    @given(hypergcn_cases())
+    def test_layer_matches_dense_oracle(self, case):
+        hg, x, theta, bias = case
+        got = hypergcn_layer(hg, x, hypergcn_params(theta, bias)).value
+        want = oracles.hypergcn_layer(hg, x, theta, bias)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * max(1.0, np.abs(want).max()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(hypergcn_cases(integer=False), st.randoms(use_true_random=False))
+    def test_node_relabelling_equivariance(self, case, rnd):
+        hg, x, theta, bias = case
+        perm = list(range(hg.n))
+        rnd.shuffle(perm)  # node v becomes perm[v]
+        relabelled = from_edge_list(hg.n, [[perm[v] for v in e] for e in hg.edges])
+        x_perm = np.empty_like(x)
+        x_perm[perm] = x
+        params = hypergcn_params(theta, bias)
+        out = hypergcn_layer(hg, x, params).value
+        out_perm = hypergcn_layer(relabelled, x_perm, params).value
+        np.testing.assert_allclose(out_perm[perm], out, rtol=1e-12, atol=1e-12)
+
+    def test_many_nodes_few_edges_stays_sparse(self):
+        # a dense W alone would be 5000 * 5000 * 8 bytes = 200 MB
+        rng = np.random.default_rng(16)
+        n, f = 5000, 8
+        hg = from_edge_list(n, [rng.choice(n, size=6, replace=False) for _ in range(10)])
+        self._assert_peak_below(hg, rng.normal(size=(n, f)), f, 16 << 20)
+
+    def test_large_edge_never_holds_all_differences(self):
+        # all 1000 * 999 / 2 differences of 64 columns at once would be 256 MB
+        rng = np.random.default_rng(17)
+        n, f = 1000, 64
+        hg = from_edge_list(n, [range(n)])
+        self._assert_peak_below(hg, rng.normal(size=(n, f)), f, 32 << 20)
+
+    @staticmethod
+    def _assert_peak_below(hg, x, f, limit):
+        params = init_hypergcn_params(nn.make_rng(18), f, f)
+        hg.incidence  # built once per hypergraph, outside the measured step
+        tracemalloc.start()
+        try:
+            ad.sum_all(hypergcn_layer(hg, x, params)).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestHyperSage:
@@ -434,6 +527,21 @@ class TestStorageOrderInvariance:
             np.testing.assert_allclose(
                 z_prop(hg, x, 3), z_prop(hg2, x, 3), atol=1e-9
             )
+
+
+class TestActivationChoices:
+    @pytest.mark.parametrize("layer, init, activation, allowed", [
+        (hcha_layer, lambda rng: init_hcha_params(rng, 2, 2), "tanh", "('elu', 'relu')"),
+        (hnhn_layer, lambda rng: init_hnhn_params(rng, 2, 2, 2), "elu",
+         "('relu', 'identity')"),
+        (hypersage_layer, lambda rng: init_hypersage_params(rng, 2, 2), "elu",
+         "('relu', 'identity')"),
+    ])
+    def test_unknown_activation_names_the_choices(self, layer, init, activation, allowed):
+        hg = from_edge_list(3, [[0, 1], [1, 2]])
+        params = init(nn.make_rng(19))
+        with pytest.raises(ValueError, match=re.escape(allowed)):
+            layer(hg, np.ones((3, 2)), params, activation=activation)
 
 
 class TestPropagationRuleSpec:
