@@ -73,7 +73,7 @@ class MultisetFunction:
 
     def __call__(self, params: Dict[str, Tensor], rows, prefix: str = "f") -> Tensor:
         """Evaluate on a single multiset given as a row matrix."""
-        rows = rows if isinstance(rows, Tensor) else Tensor(rows)
+        rows = ad.wrap(rows)
         if rows.shape[0] == 0:
             raise EmptyMultisetError("multiset function applied to an empty multiset")
         n = rows.shape[0]
@@ -237,23 +237,6 @@ class SetTransformerPool(MultisetFunction):
         return ad.mul(out, ad.constant(view.nonempty))
 
 
-_KINDS = {
-    "sum": SumPool,
-    "mean": MeanPool,
-    "product": ProductPool,
-    "weighted_sum": WeightedSumPool,
-    "deepsets": DeepSetsPool,
-    "settransformer": SetTransformerPool,
-}
-
-
-def multiset_function(kind: str, **kwargs) -> MultisetFunction:
-    """Factory mapping config names to pool classes."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown multiset function kind {kind!r}")
-    return _KINDS[kind](**kwargs)
-
-
 class AllSetLayer:
     """One full node->edge->node propagation step: ``v2e`` pools each
     multiset of node rows into a state, ``e2v`` pools each node's
@@ -336,14 +319,14 @@ class AllSetLayer:
     ) -> Tensor:
         """Hidden state per hyperedge (per incidence pair for the
         per-aggregator variant) from the multiset of member rows."""
-        xt = x if isinstance(x, Tensor) else Tensor(x)
+        xt = ad.wrap(x)
         if xt.shape[0] != hg.n:
             raise ad.ShapeMismatchError(
                 f"features have {xt.shape[0]} rows for {hg.n} nodes"
             )
         z = self.v2e.aggregate(params, xt, self._views(hg)[0], f"{prefix}.v2e")
         if self.use_second_argument and z_prev is not None:
-            zp = z_prev if isinstance(z_prev, Tensor) else Tensor(z_prev)
+            zp = ad.wrap(z_prev)
             if zp.shape[0] != hg.num_edges:
                 raise ad.ShapeMismatchError(
                     f"previous edge state has {zp.shape[0]} rows for "
@@ -363,7 +346,7 @@ class AllSetLayer:
         """Node state from the multiset of incident-edge (or pair) rows;
         isolated nodes yield zero rows (or their previous state when the
         second argument is enabled)."""
-        zt = z if isinstance(z, Tensor) else Tensor(z)
+        zt = ad.wrap(z)
         view = self._views(hg)[1]
         if zt.shape[0] != view.src_count:
             raise ad.ShapeMismatchError(
@@ -372,7 +355,7 @@ class AllSetLayer:
             )
         x_out = self.e2v.aggregate(params, zt, view, f"{prefix}.e2v")
         if self.use_second_argument and x_prev is not None:
-            xp = x_prev if isinstance(x_prev, Tensor) else Tensor(x_prev)
+            xp = ad.wrap(x_prev)
             x_out = ad.concat_cols([x_out, xp])
         return x_out
 
@@ -451,7 +434,7 @@ class AllSetNetwork:
         """Logits with one row per node and one column per class.  The
         layer widths are fixed without an initial edge state, so a ``z0``
         that the first layer would concatenate is rejected."""
-        h = x if isinstance(x, Tensor) else Tensor(x)
+        h = ad.wrap(x)
         if h.shape[1] != self.in_dim:
             raise ad.ShapeMismatchError(
                 f"network expects {self.in_dim} feature columns, got {h.shape[1]}"

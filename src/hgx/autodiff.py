@@ -109,34 +109,6 @@ class Tensor:
                     parent.grad = np.zeros_like(parent.value)
                 parent.grad += contrib
 
-    # operator sugar; non-Tensor operands become constants
-    def __add__(self, other):
-        return add(self, wrap(other))
-
-    def __radd__(self, other):
-        return add(wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, wrap(other))
-
-    def __rsub__(self, other):
-        return sub(wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, wrap(other))
-
-    def __rmul__(self, other):
-        return mul(wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, wrap(other))
-
-    def __matmul__(self, other):
-        return matmul(self, wrap(other))
-
-    def __neg__(self):
-        return neg(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -359,8 +331,12 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows ``a[idx]``; the backward pass adds each row's
-    gradients in pair order."""
-    idx = np.asarray(idx, dtype=np.int64)
+    gradients in pair order.  Indices must be integers (float or bool
+    ones raise ``ValueError``); negative ones count from the end."""
+    idx = np.asarray(idx)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"row indices must be integers, got {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
     p = len(idx)
 
     def vjp(g):  # one entry per column: a scatter without a sort
@@ -431,19 +407,6 @@ def segment_prod(a: Tensor, view) -> Tensor:
 
     def vjp(g):
         return g[seg] * _leave_one_out_prod(a.value, seg, m)
-
-    return Tensor(out, _parents=(a,), _vjps=(vjp,))
-
-
-def row_softmax(a: Tensor) -> Tensor:
-    """Softmax along each row, stabilized by the row max."""
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return out * (g - dot)
 
     return Tensor(out, _parents=(a,), _vjps=(vjp,))
 

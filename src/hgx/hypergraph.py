@@ -1,4 +1,4 @@
-"""Immutable hypergraph representation, statistics and structural transforms.
+"""Immutable hypergraph representation, its cached incidence and the ``.hg`` text format.
 
 A hypergraph is a node set ``{0, ..., n-1}`` plus a list of hyperedges, each
 a set of node ids of arbitrary size.  Hyperedges are stored as strictly
@@ -19,9 +19,9 @@ cached on the view, as are the leave-one-out :attr:`Incidence.pair_views`.
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -86,9 +86,6 @@ class Hypergraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def edge_weight(self, e: int) -> float:
-        return 1.0 if self.weights is None else self.weights[e]
-
     @cached_property
     def incidence(self) -> Incidence:
         """The cached node-edge incidence, built on first access."""
@@ -148,8 +145,13 @@ class SegmentView:
 
 
 def segment_view(src, seg, count: int, src_count: int) -> SegmentView:
-    """Build a read-only view from pair arrays; a ``seg`` id outside
-    ``[0, count)`` or a ``src`` id outside ``[0, src_count)`` raises."""
+    """Build a read-only view from pair arrays; ids that are not integers
+    (float or bool; an empty array of any dtype passes), a ``seg`` id
+    outside ``[0, count)`` or a ``src`` id outside ``[0, src_count)`` raise."""
+    seg, src = np.asarray(seg), np.asarray(src)
+    for name, ids in (("seg", seg), ("src", src)):
+        if ids.size and ids.dtype.kind not in "iu":
+            raise HypergraphError(f"{name} ids must be integers, got {ids.dtype}")
     seg = _readonly(np.array(seg, dtype=np.int64))
     src = _readonly(np.array(src, dtype=np.int64))
     for name, ids, bound in (("seg", seg, count), ("src", src, src_count)):
@@ -221,8 +223,9 @@ def from_edge_list(
 
     Node ids inside each raw hyperedge are deduplicated and sorted.  Edges
     that are empty after deduplication are rejected, as are non-integer,
-    boolean and out-of-range ids and nonpositive weights, and so is a
-    node count that is negative, a ``bool`` or not an integer.
+    boolean and out-of-range ids, weights that are not real numbers
+    (``bool`` and ``str`` included) or not positive, and a node count
+    that is negative, a ``bool`` or not an integer.
     """
     if isinstance(n, bool) or not hasattr(n, "__index__"):
         raise HypergraphError(f"node count must be an integer, got {n!r}")
@@ -252,14 +255,17 @@ def from_edge_list(
         canon.append(tuple(ids))
     wtup = None
     if weights is not None:
-        weights = tuple(float(w) for w in weights)
+        weights = tuple(weights)
         if len(weights) != len(canon):
             raise HypergraphError(
                 f"{len(weights)} weights for {len(canon)} edges"
             )
         for k, w in enumerate(weights):
-            if not (w > 0) or not np.isfinite(w):
+            if isinstance(w, bool) or not isinstance(w, numbers.Real):
+                raise HypergraphError(f"edge {k}: weight {w!r} is not a real number")
+            if not (w > 0) or not np.isfinite(float(w)):
                 raise NonpositiveWeightError(f"edge {k}: weight {w} must be > 0")
+        weights = tuple(map(float, weights))
         wtup = weights or None  # no edges, no weights: one form, as .hg text has
     return Hypergraph(n=n, edges=tuple(canon), weights=wtup)
 
@@ -268,63 +274,6 @@ def incidence_pairs(hg: Hypergraph) -> tuple:
     """The cached incidence's (node_ids, edge_ids) pair arrays, in
     edge-major canonical order."""
     return hg.incidence.nodes, hg.incidence.edges
-
-
-@dataclass(frozen=True)
-class HypergraphStats:
-    """Exact summary statistics; averages are rationals, medians use the
-    lower-middle element for even counts.  ``defined`` is False for the
-    degenerate empty hypergraph, in which case numeric fields are 0."""
-
-    num_nodes: int
-    num_edges: int
-    min_edge_size: int
-    max_edge_size: int
-    avg_edge_size: Fraction
-    median_edge_size: int
-    min_degree: int
-    max_degree: int
-    avg_degree: Fraction
-    median_degree: int
-    defined: bool = True
-
-
-def _lower_median(sorted_vals: Sequence[int]) -> int:
-    return int(sorted_vals[(len(sorted_vals) - 1) // 2])
-
-
-def stats(hg: Hypergraph) -> HypergraphStats:
-    """Exact node/edge statistics of a hypergraph."""
-    if hg.n == 0 or hg.num_edges == 0:
-        return HypergraphStats(
-            num_nodes=hg.n, num_edges=hg.num_edges,
-            min_edge_size=0, max_edge_size=0,
-            avg_edge_size=Fraction(0), median_edge_size=0,
-            min_degree=0, max_degree=0,
-            avg_degree=Fraction(0), median_degree=0,
-            defined=False,
-        )
-    sizes = sorted(hg.incidence.edge_sizes.tolist())
-    degs = sorted(hg.incidence.degrees.tolist())
-    return HypergraphStats(
-        num_nodes=hg.n,
-        num_edges=hg.num_edges,
-        min_edge_size=sizes[0],
-        max_edge_size=sizes[-1],
-        avg_edge_size=Fraction(sum(sizes), len(sizes)),
-        median_edge_size=_lower_median(sizes),
-        min_degree=degs[0],
-        max_degree=degs[-1],
-        avg_degree=Fraction(sum(degs), len(degs)),
-        median_degree=_lower_median(degs),
-    )
-
-
-def incidence_matrix(hg: Hypergraph) -> np.ndarray:
-    """Dense 0/1 incidence matrix of shape (n, |E|)."""
-    H = np.zeros((hg.n, hg.num_edges))
-    H[hg.incidence.nodes, hg.incidence.edges] = 1.0
-    return H
 
 
 # --- .hg text format -----------------------------------------------------
@@ -392,13 +341,3 @@ def format_hg(hg: Hypergraph) -> str:
             line += f" w={hg.weights[e]!r}"
         lines.append(line)
     return "\n".join(lines) + "\n"
-
-
-def read_hg(path) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_hg(fh.read())
-
-
-def write_hg(hg: Hypergraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_hg(hg))

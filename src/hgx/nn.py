@@ -120,15 +120,18 @@ def cross_entropy_loss(
     """Mean negative log-softmax of the true class over the masked rows.
 
     ``labels`` holds one integer class id per logit row; ``mask`` is an
-    index array selecting the rows that contribute.  Labels that are not
-    integers, a label count other than the row count, or a masked label
-    outside ``[0, classes)`` raise ``ValueError``.
+    integer index array selecting the rows that contribute.  Labels that
+    are not integers, a label count other than the row count, a masked
+    label outside ``[0, classes)``, and a mask that is not integer (float
+    or bool) or holds a row id outside ``[0, rows)`` raise ``ValueError``.
     """
     labels = np.asarray(labels)
-    mask = np.asarray(mask, dtype=np.int64)
+    mask = np.asarray(mask)
     if mask.size == 0:
         raise EmptyMaskError("cross entropy over an empty row subset")
     rows, classes = logits.shape
+    if mask.min() < 0 or mask.max() >= rows:  # gather_rows rejects float and bool ids
+        raise ValueError(f"mask row ids must lie in [0, {rows})")
     if labels.dtype.kind not in "iu" or labels.shape != (rows,):
         raise ValueError(f"{labels.dtype} labels of shape {labels.shape} "
                          f"for {rows} logit rows; need one integer per row")
@@ -147,11 +150,6 @@ def cross_entropy_loss(
     onehot[np.arange(mask.size), true] = 1.0
     total = ad.sum_all(ad.mul(logp, ad.constant(onehot)))
     return ad.mul(total, ad.constant(-1.0 / mask.size))
-
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    diff = ad.sub(pred, ad.constant(target))
-    return ad.mul(ad.sum_all(ad.mul(diff, diff)), ad.constant(1.0 / pred.value.size))
 
 
 # --- gradient checking ------------------------------------------------------

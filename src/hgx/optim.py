@@ -36,7 +36,11 @@ class AdamState:
 
     def step(self, params: Dict[str, Tensor]) -> None:
         """Apply one update in place; parameters with no gradient are
-        treated as having a zero gradient."""
+        treated as having a zero gradient.  A parameter this state was
+        not built with raises ``ValueError`` before anything changes."""
+        unknown = next((name for name in params if name not in self.m), None)
+        if unknown is not None:
+            raise ValueError(f"parameter {unknown!r} is not one this AdamState was built with")
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count

@@ -23,8 +23,7 @@ Conventions shared by every rule:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -53,36 +52,6 @@ class ZeroNormRowError(ValueError):
 
 class ZeroNormalizerError(ValueError):
     pass
-
-
-FIXED_RULE_KINDS = ("CEpropA", "CEpropH", "Zprop", "Hprop")
-TRAINABLE_RULE_KINDS = ("HGNN", "HCHA", "HNHN", "HyperGCN", "HyperSAGE")
-RULE_KINDS = FIXED_RULE_KINDS + TRAINABLE_RULE_KINDS
-
-
-@dataclass(frozen=True)
-class PropagationRule:
-    """A named rule plus exactly the hyperparameters its kind requires:
-    ``alpha``/``beta`` for HNHN, ``p`` for HyperSAGE."""
-
-    kind: str
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    p: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in RULE_KINDS:
-            raise ValueError(f"unknown rule kind {self.kind!r}")
-        needs_ab = self.kind == "HNHN"
-        needs_p = self.kind == "HyperSAGE"
-        if needs_ab and (self.alpha is None or self.beta is None):
-            raise ValueError("HNHN requires alpha and beta")
-        if not needs_ab and (self.alpha is not None or self.beta is not None):
-            raise ValueError(f"{self.kind} takes no alpha/beta")
-        if needs_p and self.p is None:
-            raise ValueError("HyperSAGE requires p")
-        if not needs_p and self.p is not None:
-            raise ValueError(f"{self.kind} takes no p")
 
 
 def _check_rows(hg: Hypergraph, x: np.ndarray) -> np.ndarray:
@@ -146,13 +115,9 @@ def _activation(name: str, allowed: tuple):
     return nn.ACTIVATIONS[name]
 
 
-def _as_tensor(x: Union[np.ndarray, Tensor]) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
 def _node_tensor(hg: Hypergraph, x) -> Tensor:
     """``x`` as a tensor with one row per node of ``hg``."""
-    xt = _as_tensor(x)
+    xt = ad.wrap(x)
     if xt.shape[0] != hg.n:
         raise ShapeMismatchError(f"features have {xt.shape[0]} rows for {hg.n} nodes")
     return xt
@@ -226,7 +191,7 @@ def hcha_layer(
     if edge_feats is not None:
         if "hcha.att" not in params:
             raise ValueError("edge_feats need init_hcha_params(..., f_edge=...)")
-        zt = _as_tensor(edge_feats)
+        zt = ad.wrap(edge_feats)
         if zt.shape[0] != hg.num_edges:
             raise ShapeMismatchError(
                 f"edge features have {zt.shape[0]} rows for {hg.num_edges} edges"
@@ -431,13 +396,3 @@ def hypersage_layer(
     )
     normalized = ad.mul(x_star, inv_norm)
     return act(ad.matmul(normalized, params["hypersage.theta"]))
-
-
-def z_edge_state(hg: Hypergraph, x, p: int = 1) -> Tensor:
-    """Power-mean hidden edge state used by the HyperSAGE update."""
-    xt = _node_tensor(hg, x)
-    inc = hg.incidence
-    xp = xt if p == 1 else ad.power(xt, float(p))
-    mean = ad.mul(ad.segment_sum(xp, inc.v2e),
-                  ad.constant((1.0 / inc.v2e.sizes).reshape(-1, 1)))
-    return mean if p == 1 else ad.power(mean, 1.0 / p)

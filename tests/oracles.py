@@ -6,9 +6,11 @@ the package so that no path is checked against itself:
 - loop forms of the fixed rules (CEpropH, CEpropA, Zprop) and a general
   loop over (edge, member) pair states, the reference for the pair-state
   layer variant;
-- the dense clique-expansion matrices and the order-d adjacency tensor;
+- the dense incidence and clique-expansion matrices and the order-d
+  adjacency tensor;
 - HyperGCN's loop-chosen mediator pairs, its dense ``W`` filled by a
   loop over member pairs, and the layer as printed on that ``W``;
+- HyperSAGE's power-mean layer as printed, by loops over edges and nodes;
 - the equivalence suite: classical propagation rules recovered as
   compositions of two multiset functions.  Each case evaluates a
   hand-rolled, loop-based two-phase construction (node->edge
@@ -112,6 +114,14 @@ def hypergraphs_with_features(draw, uniform=None, low=-1.0):
 # --- dense constructions -------------------------------------------------------
 
 
+def incidence_matrix(hg: Hypergraph) -> np.ndarray:
+    """Dense 0/1 incidence matrix of shape (n, |E|), set member by member."""
+    H = np.zeros((hg.n, hg.num_edges))
+    for e, members in enumerate(hg.edges):
+        H[list(members), e] = 1.0
+    return H
+
+
 def clique_expansion_incidence(hg: Hypergraph) -> np.ndarray:
     """Co-membership count matrix: entry (u, v) is the total weight of
     hyperedges containing both u and v; the diagonal carries weighted
@@ -119,7 +129,7 @@ def clique_expansion_incidence(hg: Hypergraph) -> np.ndarray:
     out = np.zeros((hg.n, hg.n))
     for e, members in enumerate(hg.edges):
         idx = list(members)
-        w = hg.edge_weight(e)
+        w = hg.incidence.weights[e]
         out[np.ix_(idx, idx)] += w
     return out
 
@@ -267,7 +277,7 @@ def _hgnn_construction(hg: Hypergraph, x, theta, bias):
         acc = np.zeros(x.shape[1])
         for e, members in enumerate(hg.edges):
             if v in members:
-                acc += hg.edge_weight(e) / len(members) * z[e]
+                acc += hg.incidence.weights[e] / len(members) * z[e]
         out[v] = np.maximum(acc / np.sqrt(deg[v]) @ theta + bias, 0.0)
     return out
 
@@ -331,7 +341,11 @@ def _hnhn_case(trials: int, rng) -> float:
     return worst
 
 
-def _hypersage_construction(hg, x, theta, p):
+def hypersage_layer(hg: Hypergraph, x: np.ndarray, theta: np.ndarray, p: int) -> np.ndarray:
+    """HyperSAGE as printed, looping over edges and nodes: z_e is the
+    order-p power mean of e's members, a node's pooled row the order-p
+    power mean of its edges' z_e (a zero row for an isolated node), then
+    ``relu(normalize(pooled + x_v) Theta)``."""
     deg = hg.degrees().astype(np.float64)
     z = np.zeros((hg.num_edges, x.shape[1]))
     for e, members in enumerate(hg.edges):
@@ -357,7 +371,7 @@ def _hypersage_case(trials: int, rng) -> float:
         theta = rng.normal(size=(3, 2))
         params = {"hypersage.theta": ad.parameter(theta)}
         got = rules.hypersage_layer(hg, x, params, p=p).value
-        want = _hypersage_construction(hg, x, theta, p)
+        want = hypersage_layer(hg, x, theta, p)
         worst = max(worst, np.abs(got - want).max())
     return worst
 

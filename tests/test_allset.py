@@ -18,7 +18,6 @@ from hgx.allset import (
     SetTransformerPool,
     SumPool,
     WeightedSumPool,
-    multiset_function,
 )
 from hgx.hypergraph import from_edge_list, segment_view
 from hgx.nn import MlpSpec
@@ -497,15 +496,6 @@ class TestNetwork:
         params = net.init_params(nn.make_rng(13))
         with pytest.raises(ValueError):
             net.forward(params, hg, np.ones((3, 2)), training=True)
-
-    def test_multiset_function_factory(self):
-        assert isinstance(multiset_function("sum"), SumPool)
-        assert isinstance(
-            multiset_function("settransformer", heads=2, head_dim=4),
-            SetTransformerPool,
-        )
-        with pytest.raises(ValueError):
-            multiset_function("nope")
 
 
 class TestExpressivenessWitness:

@@ -14,16 +14,15 @@ from hgx.hypergraph import (
     NotUniformError,
     format_hg,
     from_edge_list,
-    incidence_matrix,
     incidence_pairs,
     parse_hg,
-    stats,
 )
 from oracles import (
     TooLargeError,
     build_adjacency_tensor,
     clique_expansion_adjacency,
     clique_expansion_incidence,
+    incidence_matrix,
 )
 
 
@@ -67,6 +66,11 @@ class TestConstruction:
             from_edge_list(2, [[0, 1]], weights=[0.0])
         with pytest.raises(NonpositiveWeightError):
             from_edge_list(2, [[0, 1]], weights=[-2.0])
+
+    @pytest.mark.parametrize("weights", [[True], [np.True_], ["2"], [b"2"], [None]])
+    def test_non_real_weight_rejected(self, weights):
+        with pytest.raises(HypergraphError, match="is not a real number"):
+            from_edge_list(2, [[0, 1]], weights=weights)
 
     @pytest.mark.parametrize("bad", [0.9, 1.0, np.float64(1.0), "1"])
     def test_non_integer_node_id_rejected(self, bad):
@@ -194,6 +198,19 @@ class TestIncidence:
         with pytest.raises(HypergraphError):
             hgm.segment_view(src, seg, 2, 3)
 
+    @pytest.mark.parametrize("src, seg", [
+        ([0.9, 1.7], [0, 0]), ([0, 1], [0, 0.6]),  # float ids are not truncated
+        ([True, False], [0, 1]), ([0, 1], np.array([False, True])),
+    ])
+    def test_segment_view_rejects_non_integer_ids(self, src, seg):
+        with pytest.raises(HypergraphError, match="must be integers"):
+            hgm.segment_view(src, seg, 2, 3)
+
+    def test_segment_view_accepts_empty_float_ids(self):
+        view = hgm.segment_view(np.array([]), np.array([]), 2, 3)
+        assert view.src.dtype == view.seg.dtype == np.int64
+        assert view.sizes.tolist() == [0.0, 0.0]
+
     def test_shims_read_the_cache(self):
         hg = from_edge_list(3, [[0, 1], [1, 2]], weights=[2.0, 0.5])
         inc = hg.incidence
@@ -295,28 +312,11 @@ class TestIncidence:
 
 
 class TestStats:
-    def test_hand_counted(self):
-        s = stats(from_edge_list(3, [[0, 1], [1, 2]]))
-        assert s.avg_edge_size == 2
-        assert s.max_degree == 2
-        assert s.min_degree == 1
-
-    def test_empty(self):
-        s = stats(from_edge_list(0, []))
-        assert not s.defined
-        assert s.num_nodes == 0 and s.num_edges == 0
-        assert s.max_edge_size == 0
-
     def test_degree_size_totals_match(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             hg = random_hypergraph(rng)
             assert int(hg.degrees().sum()) == int(hg.edge_sizes().sum())
-
-    def test_lower_median(self):
-        # even count: lower-middle element
-        s = stats(from_edge_list(5, [[0], [0, 1], [0, 1, 2], [0, 1, 2, 3]]))
-        assert s.median_edge_size == 2
 
 
 class TestCliqueExpansion:

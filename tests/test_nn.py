@@ -127,6 +127,16 @@ class TestCrossEntropy:
         with pytest.raises(EmptyMaskError):
             cross_entropy_loss(Tensor(np.zeros((2, 2))), np.array([0, 1]), np.array([]))
 
+    @pytest.mark.parametrize("mask, match", [
+        ([0.9], "must be integers"),
+        ([True, False, True], "must be integers"),
+        ([-1], r"in \[0, 3\)"),
+        ([0, 5], r"in \[0, 3\)"),
+    ])
+    def test_bad_mask_rejected(self, mask, match):
+        with pytest.raises(ValueError, match=match):
+            cross_entropy_loss(Tensor(np.zeros((3, 2))), np.array([0, 1, 0]), np.array(mask))
+
     @pytest.mark.parametrize("labels, match", [
         ([0, -1, 1], r"label -1 not in \[0, 3\)"),
         ([0, 3, 1], r"label 3 not in \[0, 3\)"),
@@ -205,6 +215,13 @@ class TestAdam:
         p["w"].grad = np.ones((1, 2))
         with pytest.raises(ad.ShapeMismatchError):
             opt.step(p)
+
+    def test_unknown_parameter_named(self):
+        opt = AdamState({"a": ad.parameter(np.ones((1, 1)))})
+        p = {"a": ad.parameter(np.ones((1, 1))), "b": ad.parameter(np.ones((1, 1)))}
+        with pytest.raises(ValueError, match="'b'"):
+            opt.step(p)
+        assert opt.step_count == 0 and p["a"].value.item() == 1.0
 
 
 class TestGradCheckHarness:

@@ -14,7 +14,6 @@ from hgx.rules import (
     DegenerateEdgeError,
     NegativeBaseError,
     NonPositiveInputError,
-    PropagationRule,
     ce_prop_a,
     ce_prop_h,
     h_prop,
@@ -485,11 +484,16 @@ class TestHyperSage:
         expected = (2 * x) / np.linalg.norm(2 * x)
         np.testing.assert_allclose(out.value, expected, atol=1e-12)
 
-    def test_constant_features_power_mean_idempotent(self):
-        hg = from_edge_list(4, [[0, 1, 2], [1, 2, 3]])
-        for p in (1, 2, 3):
-            z = rules.z_edge_state(hg, np.full((4, 2), 0.7), p=p)
-            np.testing.assert_allclose(z.value, 0.7, atol=1e-12)
+    @settings(max_examples=150, deadline=None)
+    @given(hypergraphs_with_features(low=0.0), st.sampled_from([1, 2, 3]),
+           st.integers(0, 2**32 - 1))
+    def test_power_means_match_printed_formula(self, case, p, seed):
+        hg, x = case
+        # nonnegative Theta keeps relu away from its kink, so the check is relative
+        theta = np.random.default_rng(seed).uniform(0.0, 1.0, size=(x.shape[1], 2))
+        got = hypersage_layer(hg, x, {"hypersage.theta": ad.parameter(theta)}, p=p)
+        want = oracles.hypersage_layer(hg, x, theta, p)
+        np.testing.assert_allclose(got.value, want, rtol=1e-12, atol=0)
 
     def test_negative_base_rejected(self):
         hg = from_edge_list(2, [[0, 1]])
@@ -542,18 +546,3 @@ class TestActivationChoices:
         params = init(nn.make_rng(19))
         with pytest.raises(ValueError, match=re.escape(allowed)):
             layer(hg, np.ones((3, 2)), params, activation=activation)
-
-
-class TestPropagationRuleSpec:
-    def test_hyperparameters_required_exactly_when_needed(self):
-        PropagationRule("HNHN", alpha=0.1, beta=0.2)
-        PropagationRule("HyperSAGE", p=2)
-        PropagationRule("CEpropH")
-        with pytest.raises(ValueError):
-            PropagationRule("HNHN")
-        with pytest.raises(ValueError):
-            PropagationRule("CEpropA", alpha=0.5)
-        with pytest.raises(ValueError):
-            PropagationRule("HGNN", p=1)
-        with pytest.raises(ValueError):
-            PropagationRule("nope")
