@@ -25,6 +25,7 @@ rows.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, Optional
 
 import numpy as np
@@ -46,6 +47,14 @@ class PerAggregatorGuardError(ValueError):
 
 
 PER_AGGREGATOR_PAIR_GUARD = 200_000
+
+
+def node_tensor(hg: Hypergraph, x) -> Tensor:
+    """``x`` as a tensor with one row per node of ``hg``."""
+    xt = ad.wrap(x)
+    if xt.shape[0] != hg.n:
+        raise ad.ShapeMismatchError(f"features have {xt.shape[0]} rows for {hg.n} nodes")
+    return xt
 
 
 class MultisetFunction:
@@ -103,15 +112,15 @@ class ProductPool(MultisetFunction):
 
 
 class WeightedSumPool(MultisetFunction):
-    """Sum with fixed rule-derived weights: one weight per incidence pair
-    and an optional per-segment rescale applied afterwards."""
+    """Sum with fixed rule-derived weights, one per pair of the view (an
+    array, or a ``(P, 1)`` Tensor such as HCHA's attention, which then
+    gets gradients), then an optional per-segment rescale: the degree
+    normalizers of HGNN, HCHA and HNHN."""
 
-    def __init__(
-        self,
-        pair_weights: np.ndarray,
-        segment_scale: Optional[np.ndarray] = None,
-    ):
-        self.pair_weights = np.asarray(pair_weights, dtype=np.float64).reshape(-1, 1)
+    def __init__(self, pair_weights, segment_scale: Optional[np.ndarray] = None):
+        if not isinstance(pair_weights, Tensor):
+            pair_weights = np.asarray(pair_weights, dtype=np.float64).reshape(-1, 1)
+        self.pair_weights = pair_weights
         self.segment_scale = (
             None
             if segment_scale is None
@@ -158,64 +167,47 @@ class SetTransformerPool(MultisetFunction):
     """Seeded multihead attention over each segment with two residual +
     layer-norm stages.
 
-    Per head, key and value maps are row-wise MLPs (one-layer and
-    bias-free by default, which makes them plain linear projections);
-    the attention query is a learnable seed row, and the attention
-    weights are a softmax over the segment.  Head outputs are
-    concatenated to ``heads * head_dim`` columns.
+    Per head, key and value maps are bias-free ``(in_dim, head_dim)``
+    linear projections (``{prefix}.key{i}.w0``, ``.value{i}.w0``); the
+    attention query is a learnable seed row, and the attention weights
+    are a softmax over the segment.  Head outputs are concatenated to
+    ``heads * head_dim`` columns, the width of the two-layer ``post`` MLP.
     """
 
-    def __init__(
-        self,
-        heads: int,
-        head_dim: int,
-        key_widths: Optional[tuple] = None,
-        value_widths: Optional[tuple] = None,
-        post_widths: Optional[tuple] = None,
-        eps: float = 1e-5,
-    ):
-        if heads < 1 or head_dim < 1:
-            raise ValueError("heads and head_dim must be positive")
-        self.heads = heads
-        self.head_dim = head_dim
-        self.hidden = heads * head_dim
-        self.key_widths = key_widths
-        self.value_widths = value_widths
-        self.post_widths = post_widths or (self.hidden, self.hidden, self.hidden)
-        self.eps = eps
+    def __init__(self, heads: int, head_dim: int):
+        dims = (heads, head_dim)
+        if any(isinstance(d, bool) or not hasattr(d, "__index__") or d < 1 for d in dims):
+            raise ValueError(f"heads and head_dim must be positive integers: {dims}")
+        self.heads, self.head_dim = map(operator.index, dims)
+        self.hidden = self.heads * self.head_dim
+        self.post = MlpSpec((self.hidden, self.hidden, self.hidden))
 
     def out_dim(self, in_dim):
         return self.hidden
 
-    def _specs(self, in_dim):
-        key = MlpSpec(self.key_widths or (in_dim, self.head_dim), bias=False)
-        value = MlpSpec(self.value_widths or (in_dim, self.head_dim), bias=False)
-        post = MlpSpec(self.post_widths)
-        return key, value, post
-
     def init_params(self, rng, in_dim, prefix):
-        key, value, post = self._specs(in_dim)
         params: Dict[str, Tensor] = {}
         # seed query row, one slice per head
         params[f"{prefix}.seed"] = ad.parameter(
             rng.normal(0.0, 1.0 / np.sqrt(self.hidden), size=(1, self.hidden))
         )
         for i in range(self.heads):
-            params.update(nn.init_mlp_params(key, rng, f"{prefix}.key{i}"))
-            params.update(nn.init_mlp_params(value, rng, f"{prefix}.value{i}"))
+            for name in (f"key{i}", f"value{i}"):
+                params[f"{prefix}.{name}.w0"] = ad.parameter(
+                    nn.xavier_uniform(rng, in_dim, self.head_dim)
+                )
         for stage in ("ln1", "ln2"):
             params[f"{prefix}.{stage}.gain"] = ad.parameter(np.ones((1, self.hidden)))
             params[f"{prefix}.{stage}.bias"] = ad.parameter(np.zeros((1, self.hidden)))
-        params.update(nn.init_mlp_params(post, rng, f"{prefix}.post"))
+        params.update(nn.init_mlp_params(self.post, rng, f"{prefix}.post"))
         return params
 
     def aggregate(self, params, src, view, prefix):
-        key, value, post = self._specs(src.shape[1])
         seed = params[f"{prefix}.seed"]
         head_outputs = []
         for i in range(self.heads):
-            k = nn.mlp_forward(key, params, src, f"{prefix}.key{i}")
-            v = nn.mlp_forward(value, params, src, f"{prefix}.value{i}")
+            k = ad.matmul(src, params[f"{prefix}.key{i}.w0"])
+            v = ad.matmul(src, params[f"{prefix}.value{i}.w0"])
             lo, hi = i * self.head_dim, (i + 1) * self.head_dim
             seed_slice = ad.slice_cols(seed, lo, hi)
             logits = ad.row_sum(ad.mul(ad.gather_rows(k, view.src), seed_slice))
@@ -223,16 +215,12 @@ class SetTransformerPool(MultisetFunction):
             head_outputs.append(ad.segment_sum(v, view, weights))
         mh = head_outputs[0] if self.heads == 1 else ad.concat_cols(head_outputs)
         y = nn.layer_norm(
-            ad.add(seed, mh),
-            params[f"{prefix}.ln1.gain"],
-            params[f"{prefix}.ln1.bias"],
-            eps=self.eps,
+            ad.add(seed, mh), params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"]
         )
         out = nn.layer_norm(
-            ad.add(y, nn.mlp_forward(post, params, y, f"{prefix}.post")),
+            ad.add(y, nn.mlp_forward(self.post, params, y, f"{prefix}.post")),
             params[f"{prefix}.ln2.gain"],
             params[f"{prefix}.ln2.bias"],
-            eps=self.eps,
         )
         return ad.mul(out, ad.constant(view.nonempty))
 
@@ -248,7 +236,11 @@ class AllSetLayer:
     aggregates states that exclude its own row.  It reads the
     incidence's ``pair_views``, is differentiable, takes any pools, and
     returns no edge state; it raises :class:`PerAggregatorGuardError`
-    when sum(|e| (|e| - 1)) exceeds ``PER_AGGREGATOR_PAIR_GUARD``.
+    when sum(|e| (|e| - 1)) exceeds ``PER_AGGREGATOR_PAIR_GUARD``.  A
+    1-member edge's leave-one-out multiset is empty, so its pair state is
+    an exact zero row: a :class:`DeepSetsPool` e2v with relu MLPs meets it
+    with its zero-initialized inner bias at relu's kink, where the
+    analytic gradient (0) and a central difference (half the slope) differ.
 
     The second arguments of both halves (previous edge / node states)
     are dropped by default; ``use_second_argument=True`` concatenates
@@ -319,11 +311,7 @@ class AllSetLayer:
     ) -> Tensor:
         """Hidden state per hyperedge (per incidence pair for the
         per-aggregator variant) from the multiset of member rows."""
-        xt = ad.wrap(x)
-        if xt.shape[0] != hg.n:
-            raise ad.ShapeMismatchError(
-                f"features have {xt.shape[0]} rows for {hg.n} nodes"
-            )
+        xt = node_tensor(hg, x)
         z = self.v2e.aggregate(params, xt, self._views(hg)[0], f"{prefix}.v2e")
         if self.use_second_argument and z_prev is not None:
             zp = ad.wrap(z_prev)
@@ -379,7 +367,7 @@ class AllSetLayer:
 
 class AllSetNetwork:
     """Input projection, a stack of propagation layers, and a classifier
-    head (a single linear layer by default)."""
+    head: one linear layer, named ``head``."""
 
     def __init__(
         self,
@@ -387,7 +375,6 @@ class AllSetNetwork:
         num_classes: int,
         layers: list,
         input_proj: Optional[MlpSpec] = None,
-        head: Optional[MlpSpec] = None,
         dropout: float = 0.0,
     ):
         if not layers:
@@ -404,11 +391,7 @@ class AllSetNetwork:
         for layer in self.layers:
             self._layer_dims.append((dim, z_dim))
             z_dim, dim = layer.widths(dim, z_dim)
-        self.head = head or MlpSpec((dim, num_classes), activation="identity")
-        if self.head.in_dim != dim or self.head.out_dim != num_classes:
-            raise ValueError(
-                f"head must map {dim} -> {num_classes}, got {self.head.widths}"
-            )
+        self.head = MlpSpec((dim, num_classes), activation="identity")
 
     def init_params(self, rng: np.random.Generator) -> Dict[str, Tensor]:
         params: Dict[str, Tensor] = {}

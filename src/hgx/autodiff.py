@@ -26,6 +26,8 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 from scipy import sparse
 
+from .hypergraph import holds_bool
+
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 
@@ -332,11 +334,12 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows ``a[idx]``; the backward pass adds each row's
     gradients in pair order.  Indices must be integers (float or bool
-    ones raise ``ValueError``); negative ones count from the end."""
-    idx = np.asarray(idx)
-    if idx.size and idx.dtype.kind not in "iu":
-        raise ValueError(f"row indices must be integers, got {idx.dtype}")
-    idx = idx.astype(np.int64, copy=False)
+    ones, or a list with a bool, raise ``ValueError``); negative ones
+    count from the end."""
+    ids = np.asarray(idx)
+    if ids.size and ids.dtype.kind not in "iu" or holds_bool(idx):
+        raise ValueError(f"row indices must be integers, got {ids.dtype} from {idx!r:.40}")
+    idx = ids.astype(np.int64, copy=False)
     p = len(idx)
 
     def vjp(g):  # one entry per column: a scatter without a sort

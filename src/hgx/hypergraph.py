@@ -144,14 +144,24 @@ class SegmentView:
                                 shape=(self.count, self.src_count))
 
 
+def holds_bool(ids) -> bool:
+    """Whether ``ids``, when not an ndarray, holds a ``bool``, which numpy
+    would read as id 0 or 1 among ints; an ndarray is not scanned."""
+    return not isinstance(ids, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(ids, dtype=object).flat
+    )
+
+
 def segment_view(src, seg, count: int, src_count: int) -> SegmentView:
     """Build a read-only view from pair arrays; ids that are not integers
-    (float or bool; an empty array of any dtype passes), a ``seg`` id
-    outside ``[0, count)`` or a ``src`` id outside ``[0, src_count)`` raise."""
-    seg, src = np.asarray(seg), np.asarray(src)
+    (float or bool, or a list with a bool; an empty array of any dtype
+    passes), a ``seg`` id outside ``[0, count)`` or a ``src`` id outside
+    ``[0, src_count)`` raise."""
     for name, ids in (("seg", seg), ("src", src)):
-        if ids.size and ids.dtype.kind not in "iu":
-            raise HypergraphError(f"{name} ids must be integers, got {ids.dtype}")
+        a = np.asarray(ids)
+        if a.size and a.dtype.kind not in "iu" or holds_bool(ids):
+            raise HypergraphError(
+                f"{name} ids must be integers, got {a.dtype} from {ids!r:.40}")
     seg = _readonly(np.array(seg, dtype=np.int64))
     src = _readonly(np.array(src, dtype=np.int64))
     for name, ids, bound in (("seg", seg, count), ("src", src, src_count)):

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .hypergraph import holds_bool
 
 
 class EmptyMaskError(ValueError):
@@ -102,14 +103,15 @@ def mlp_forward(
     return h
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance, then scale and
-    shift.  A constant row collapses to zeros (the eps floor wins)."""
+    shift.  A constant row collapses to zeros (the 1e-5 variance floor
+    wins)."""
     n_cols = x.shape[1]
     mean = ad.mul(ad.row_sum(x), ad.constant(1.0 / n_cols))
     centered = ad.sub(x, mean)
     var = ad.mul(ad.row_sum(ad.mul(centered, centered)), ad.constant(1.0 / n_cols))
-    inv_std = ad.div(ad.constant(1.0), ad.sqrt(ad.add(var, ad.constant(eps))))
+    inv_std = ad.div(ad.constant(1.0), ad.sqrt(ad.add(var, ad.constant(1e-5))))
     normalized = ad.mul(centered, inv_std)
     return ad.add(ad.mul(normalized, gain), bias)
 
@@ -126,6 +128,8 @@ def cross_entropy_loss(
     or bool) or holds a row id outside ``[0, rows)`` raise ``ValueError``.
     """
     labels = np.asarray(labels)
+    if holds_bool(mask):  # the array numpy makes of it reads a bool as row 0 or 1
+        raise ValueError("mask row ids must be integers, not bool")
     mask = np.asarray(mask)
     if mask.size == 0:
         raise EmptyMaskError("cross entropy over an empty row subset")
@@ -171,7 +175,6 @@ def grad_check(
     build: Callable[[], Tensor],
     params: Dict[str, Tensor],
     h: float = 1e-5,
-    param_names: Optional[list] = None,
 ) -> GradCheckReport:
     """Compare reverse-mode gradients against central finite differences.
 
@@ -189,9 +192,8 @@ def grad_check(
         name: (np.zeros_like(t.value) if t.grad is None else t.grad.copy())
         for name, t in params.items()
     }
-    names = param_names if param_names is not None else sorted(params)
     report = GradCheckReport(max_rel_err=0.0)
-    for name in names:
+    for name in sorted(params):
         t = params[name]
         err = 0.0
         it = np.nditer(t.value, flags=["multi_index", "zerosize_ok"])

@@ -12,23 +12,16 @@ from .autodiff import ShapeMismatchError, Tensor
 class AdamState:
     """Per-parameter first/second moment estimates plus a step counter.
 
-    The update is the standard bias-corrected Adam step followed by a
-    decoupled decay term ``lr * weight_decay * param``.
+    The update is the standard bias-corrected Adam step, with the usual
+    constants ``beta1``, ``beta2`` and ``eps``, followed by a decoupled
+    decay term ``lr * weight_decay * param``.
     """
 
-    def __init__(
-        self,
-        params: Dict[str, Tensor],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: Dict[str, Tensor], lr: float = 1e-3,
+                 weight_decay: float = 0.0):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
         self.m = {name: np.zeros_like(t.value) for name, t in params.items()}

@@ -1,17 +1,20 @@
-"""Classical hypergraph propagation rules.
+"""Classical hypergraph propagation rules as AllSet layers.
 
-Two families live here.  The fixed rules (clique-expansion sums, the
-tensor-contraction product rule and its root-taking variant) are AllSet
-layers with fixed pools, which is the paper's claim that AllSet contains
-them: CEpropH is a shared-state sum/sum layer, CEpropA the pair-state
-sum/sum layer, and Zprop (d - 1) times the pair-state product/sum layer.
-They take and return numpy arrays.  The trainable layers (HGNN, HCHA,
-HNHN, HyperGCN, HyperSAGE) run on the autodiff engine so their
-parameters can be optimized and gradient-checked.  Every aggregation is
-a segment op over a view: the incidence's two directions, or, for
-HyperGCN, a view built per forward pass from the ``(row, column,
-weight)`` triples of its mediator-routed ``W``, applied to the projected
-features as ``W (X Theta)``.  No layer holds a dense n-by-n matrix.
+AllSet's claim is that each rule is two multiset functions, node->edge
+then edge->node; here each is an :class:`~hgx.allset.AllSetLayer` of fixed
+pools, so every aggregation but HyperGCN's is a pool over the incidence's
+two views.  The fixed rules take and return numpy arrays: CEpropH is a
+shared-state sum/sum layer, CEpropA the pair-state sum/sum layer, and
+Zprop (d - 1) times the pair-state product/sum layer.  The trainable
+rules run on the autodiff engine so their parameters can be optimized
+and gradient-checked: HGNN, HCHA and HNHN are weighted-sum layers whose
+pair weights and segment scales carry their normalizers (HCHA's
+attention is a Tensor of pair weights), and HyperSAGE is a mean/mean
+layer between the p-th power and the p-th root.  HyperGCN's ``W``
+depends on the features, so it aggregates through a view built per
+forward pass from ``W``'s ``(row, column, weight)`` triples, applied to
+the projected features as ``W (X Theta)``.  No layer holds a dense
+n-by-n matrix.
 
 Conventions shared by every rule:
   - features are one row per node;
@@ -29,7 +32,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .allset import AllSetLayer, ProductPool, SumPool
+from .allset import (AllSetLayer, MeanPool, ProductPool, SumPool, WeightedSumPool,
+                     node_tensor)
 from .autodiff import ShapeMismatchError, Tensor
 from .hypergraph import Hypergraph, NotUniformError, segment_view
 
@@ -115,12 +119,14 @@ def _activation(name: str, allowed: tuple):
     return nn.ACTIVATIONS[name]
 
 
-def _node_tensor(hg: Hypergraph, x) -> Tensor:
-    """``x`` as a tensor with one row per node of ``hg``."""
-    xt = ad.wrap(x)
-    if xt.shape[0] != hg.n:
-        raise ShapeMismatchError(f"features have {xt.shape[0]} rows for {hg.n} nodes")
-    return xt
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """``1 / a`` as float64, and 0 where ``a`` is 0 (an isolated node's row)."""
+    return np.divide(1.0, a, out=np.zeros(np.shape(a)), where=a != 0)
+
+
+def _linear(params: Dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
+    """``x Theta + b`` with the ``{prefix}.theta`` and ``.bias`` parameters."""
+    return ad.add(ad.matmul(x, params[f"{prefix}.theta"]), params[f"{prefix}.bias"])
 
 
 def init_linear_params(
@@ -138,20 +144,14 @@ def init_hgnn_params(rng, f_in: int, f_out: int) -> Dict[str, Tensor]:
 
 def hgnn_layer(hg: Hypergraph, x, params: Dict[str, Tensor]) -> Tensor:
     """Degree-normalized two-stage mean aggregation followed by a linear
-    map and ReLU.  Zero-degree nodes emit zero rows."""
-    xt = _node_tensor(hg, x)
+    map and ReLU: an AllSet layer whose v2e pair weights carry the
+    ``1/sqrt(d_u)`` of each member.  Zero-degree nodes emit zero rows."""
     inc = hg.incidence
-    deg = inc.e2v.sizes
-    inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
-    edge_scale = (inc.weights / inc.v2e.sizes).reshape(-1, 1)
-
-    scaled = ad.mul(xt, ad.constant(inv_sqrt.reshape(-1, 1)))
-    z = ad.segment_sum(scaled, inc.v2e)
-    z = ad.mul(z, ad.constant(edge_scale))
-    agg = ad.segment_sum(z, inc.e2v)
-    agg = ad.mul(agg, ad.constant(inv_sqrt.reshape(-1, 1)))
-    pre = ad.add(ad.matmul(agg, params["hgnn.theta"]), params["hgnn.bias"])
-    return ad.mul(ad.relu(pre), ad.constant(inc.e2v.nonempty))
+    inv_sqrt = _inverse(np.sqrt(inc.e2v.sizes))
+    layer = AllSetLayer(WeightedSumPool(inv_sqrt[inc.nodes], inc.weights / inc.v2e.sizes),
+                        WeightedSumPool(np.ones(len(inc.nodes)), inv_sqrt))
+    agg = layer.forward(params, hg, x, prefix="hgnn")[1]
+    return ad.mul(ad.relu(_linear(params, "hgnn", agg)), ad.constant(inc.e2v.nonempty))
 
 
 def init_hcha_params(
@@ -172,7 +172,8 @@ def hcha_layer(
     edge_feats: Optional[np.ndarray] = None,
     activation: str = "elu",
 ) -> Tensor:
-    """Attention-weighted co-member aggregation.
+    """Attention-weighted co-member aggregation: an AllSet layer whose
+    two weighted sums share one weight ``alpha`` per incidence pair.
 
     Per-incidence attention compares a node's features with its
     hyperedge's features and normalizes across the edges incident to
@@ -182,11 +183,10 @@ def hcha_layer(
     1/d_v.
     """
     act = _activation(activation, ("elu", "relu"))
-    xt = _node_tensor(hg, x)
+    xt = node_tensor(hg, x)
     inc = hg.incidence
     pn, pe = inc.nodes, inc.edges
-    deg = inc.e2v.sizes
-    inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+    inv_deg = _inverse(inc.e2v.sizes)
 
     if edge_feats is not None:
         if "hcha.att" not in params:
@@ -203,13 +203,12 @@ def hcha_layer(
     else:
         alpha = ad.constant(inv_deg[pn].reshape(-1, 1))
 
-    inner = ad.segment_sum(xt, inc.v2e, alpha)  # sum_u alpha_ue X_u
-    # the same attention, evaluated at (v, e) pairs, times w_e / |e|
+    # v2e sums alpha_ue X_u; e2v reuses alpha at the (v, e) pairs, times w_e / |e|
     edge_scale = ad.constant((inc.weights / inc.v2e.sizes)[pe].reshape(-1, 1))
-    outer = ad.segment_sum(inner, inc.e2v, ad.mul(alpha, edge_scale))
-    outer = ad.mul(outer, ad.constant(inv_deg.reshape(-1, 1)))
-    pre = ad.add(ad.matmul(outer, params["hcha.theta"]), params["hcha.bias"])
-    return ad.mul(act(pre), ad.constant(inc.e2v.nonempty))
+    layer = AllSetLayer(WeightedSumPool(alpha),
+                        WeightedSumPool(ad.mul(alpha, edge_scale), inv_deg))
+    agg = layer.forward(params, hg, xt, prefix="hcha")[1]
+    return ad.mul(act(_linear(params, "hcha", agg)), ad.constant(inc.e2v.nonempty))
 
 
 def init_hnhn_params(rng, f_in: int, f_edge: int, f_out: int) -> Dict[str, Tensor]:
@@ -227,7 +226,8 @@ def hnhn_layer(
     node_normalizer: str = "as_printed",
     activation: str = "relu",
 ) -> tuple:
-    """Two half-steps with degree-power reweighting.
+    """Two half-steps with degree-power reweighting: the two halves of an
+    AllSet layer with a linear map and activation after each.
 
     Edge step: hidden edge state from a d_u**beta weighted average of
     member features, normalized by the sum of those powers.  Node step:
@@ -238,7 +238,6 @@ def hnhn_layer(
     ``(edge_state, node_state)``.
     """
     act = _activation(activation, ("relu", "identity"))
-    xt = _node_tensor(hg, x)
     if node_normalizer not in ("as_printed", "edge_size"):
         raise ValueError(f"unknown node_normalizer {node_normalizer!r}; "
                          "expected one of ('as_printed', 'edge_size')")
@@ -250,26 +249,19 @@ def hnhn_layer(
     d_el = np.bincount(pe, weights=deg_beta[pn], minlength=hg.num_edges)
     if hg.num_edges and not (d_el > 0).all():
         raise ZeroNormalizerError("edge-side normalizer vanished")
-    edge_sum = ad.segment_sum(xt, inc.v2e, deg_beta[pn].reshape(-1, 1))
-    edge_avg = ad.mul(edge_sum, ad.constant((1.0 / d_el).reshape(-1, 1)))
-    z_out = act(
-        ad.add(ad.matmul(edge_avg, params["hnhn.edge.theta"]), params["hnhn.edge.bias"])
-    )
-
     size_alpha = np.power(inc.v2e.sizes, alpha)
     if node_normalizer == "as_printed":
         pair_w = np.power(deg, alpha, where=deg > 0, out=np.zeros_like(deg))[pn]
     else:
         pair_w = size_alpha[pe]
     d_vl = np.bincount(pn, weights=pair_w, minlength=hg.n)
-    inv_dvl = np.divide(1.0, d_vl, out=np.zeros_like(d_vl), where=d_vl > 0)
-    node_sum = ad.segment_sum(z_out, inc.e2v, size_alpha[pe].reshape(-1, 1))
-    node_avg = ad.mul(node_sum, ad.constant(inv_dvl.reshape(-1, 1)))
-    x_out = act(
-        ad.add(ad.matmul(node_avg, params["hnhn.node.theta"]), params["hnhn.node.bias"])
-    )
-    x_out = ad.mul(x_out, ad.constant(inc.e2v.nonempty))
-    return z_out, x_out
+    layer = AllSetLayer(WeightedSumPool(deg_beta[pn], 1.0 / d_el),
+                        WeightedSumPool(size_alpha[pe], _inverse(d_vl)))
+    edge_avg = layer.v2e_forward(params, hg, x, prefix="hnhn")
+    z_out = act(_linear(params, "hnhn.edge", edge_avg))
+    node_avg = layer.e2v_forward(params, hg, z_out, prefix="hnhn")
+    x_out = act(_linear(params, "hnhn.node", node_avg))
+    return z_out, ad.mul(x_out, ad.constant(inc.e2v.nonempty))
 
 
 def init_hypergcn_params(rng, f_in: int, f_out: int) -> Dict[str, Tensor]:
@@ -352,11 +344,14 @@ def hypergcn_layer(hg: Hypergraph, x, params: Dict[str, Tensor]) -> Tensor:
     ``(W X) Theta`` up to rounding and aggregates ``f_out`` columns
     instead of ``f_in``.  The mediators are a constant of the forward
     pass: no gradient flows through their choice."""
-    xt = _node_tensor(hg, x)
+    xt = node_tensor(hg, x)
     projected = ad.matmul(xt, params["hypergcn.theta"])
     view, weights = hypergcn_edge_weights(hg, projected.value)
     agg = ad.segment_sum(projected, view, weights)
     return ad.relu(ad.add(agg, params["hypergcn.bias"]))
+
+
+_HYPERSAGE = AllSetLayer(MeanPool(), MeanPool())
 
 
 def init_hypersage_params(rng, f_in: int, f_out: int) -> Dict[str, Tensor]:
@@ -368,24 +363,18 @@ def hypersage_layer(
     activation: str = "relu",
 ) -> Tensor:
     """Power-mean aggregation over edges then over a node's incident
-    edges, a residual add, row normalization, and a linear map plus
-    activation."""
+    edges (an AllSet layer of two mean pools between the p-th power and
+    the p-th root), a residual add, row normalization, and a linear map
+    plus activation."""
     act = _activation(activation, ("relu", "identity"))
     if p < 1:
         raise ValueError(f"power-mean order must be >= 1, got {p}")
-    xt = _node_tensor(hg, x)
+    xt = node_tensor(hg, x)
     if p != 1 and (xt.value < 0).any():
         raise NegativeBaseError("power means with p > 1 require nonnegative input")
-    inc = hg.incidence
-    deg = inc.e2v.sizes
-
     xp = xt if p == 1 else ad.power(xt, float(p))
-    edge_mean = ad.mul(ad.segment_sum(xp, inc.v2e),
-                       ad.constant((1.0 / inc.v2e.sizes).reshape(-1, 1)))
-    # z_e = edge_mean ** (1/p); z_e**p reappears immediately, so reuse edge_mean
-    inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-    node_mean = ad.mul(ad.segment_sum(edge_mean, inc.e2v),
-                       ad.constant(inv_deg.reshape(-1, 1)))
+    # z_e = edge_mean ** (1/p); z_e**p reappears at once, so no root between the means
+    node_mean = _HYPERSAGE.forward({}, hg, xp, prefix="hypersage")[1]
     pooled = node_mean if p == 1 else ad.power(node_mean, 1.0 / p)
     x_star = ad.add(pooled, xt)
     norms = np.sqrt((x_star.value**2).sum(axis=1, keepdims=True))

@@ -11,6 +11,8 @@ the package so that no path is checked against itself:
 - HyperGCN's loop-chosen mediator pairs, its dense ``W`` filled by a
   loop over member pairs, and the layer as printed on that ``W``;
 - HyperSAGE's power-mean layer as printed, by loops over edges and nodes;
+- HCHA as printed, with and without attention, by loops over the
+  incidence pairs;
 - the equivalence suite: classical propagation rules recovered as
   compositions of two multiset functions.  Each case evaluates a
   hand-rolled, loop-based two-phase construction (node->edge
@@ -203,6 +205,48 @@ def hypergcn_layer(hg: Hypergraph, x: np.ndarray, theta: np.ndarray,
     """HyperGCN as printed, ``relu((W X) Theta + b)`` with a dense ``W``."""
     W = hypergcn_dense_weights(hg, x @ theta)
     return np.maximum((W @ x) @ theta + bias, 0.0)
+
+
+def hcha_layer(hg: Hypergraph, x: np.ndarray, theta: np.ndarray, bias: np.ndarray,
+               att: np.ndarray = None, z: np.ndarray = None) -> np.ndarray:
+    """HCHA as printed, by loops over the incidence pairs (u, e).
+
+    The pair weight alpha_ue is 1/d_u, or, given the attention row
+    ``att`` and edge features ``z``, the softmax over u's edges of
+    ``leaky_relu([x_u, z_e] . att, 0.2)``.  Edge e's state is
+    sum_u alpha_ue x_u; node v's row is
+    ``elu((1/d_v) sum_e alpha_ve (w_e / |e|) state_e Theta + b)``, and a
+    zero row when d_v = 0."""
+    deg = hg.degrees()
+    weights = hg.incidence.weights
+    pairs = [(u, e) for e, members in enumerate(hg.edges) for u in members]
+    alpha = {(u, e): 1.0 / deg[u] for u, e in pairs}
+    if att is not None:
+        score = {}
+        for u, e in pairs:
+            s = float(np.concatenate([x[u], z[e]]) @ att.ravel())
+            score[u, e] = s if s > 0 else 0.2 * s
+        for v in range(hg.n):
+            mine = [(u, e) for u, e in pairs if u == v]
+            if mine:
+                top = max(score[p] for p in mine)
+                total = sum(math.exp(score[p] - top) for p in mine)
+                for p in mine:
+                    alpha[p] = math.exp(score[p] - top) / total
+    state = np.zeros((hg.num_edges, x.shape[1]))
+    for u, e in pairs:
+        state[e] += alpha[u, e] * x[u]
+    out = np.zeros((hg.n, theta.shape[1]))
+    for v in range(hg.n):
+        if deg[v] == 0:
+            continue
+        acc = np.zeros(x.shape[1])
+        for u, e in pairs:
+            if u == v:
+                acc += alpha[v, e] * (weights[e] / len(hg.edges[e])) * state[e]
+        pre = acc / deg[v] @ theta + bias[0]
+        out[v] = np.where(pre > 0, pre, np.exp(pre) - 1.0)
+    return out
 
 
 # --- equivalence suite -----------------------------------------------------------

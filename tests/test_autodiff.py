@@ -104,6 +104,12 @@ class TestShapesAndValues:
         with pytest.raises(ValueError, match="must be integers"):
             ad.gather_rows(x, np.array(idx))
 
+    @pytest.mark.parametrize("idx", [[True, 2], [0, np.False_], ([1], [True])])
+    def test_gather_rows_rejects_a_bool_among_int_indices(self, idx):
+        x = Tensor(np.arange(6.0).reshape(3, 2))
+        with pytest.raises(ValueError, match="must be integers"):
+            ad.gather_rows(x, idx)
+
     def test_concat_cols(self):
         a, b = Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 3)))
         assert ad.concat_cols([a, b]).shape == (2, 5)

@@ -206,6 +206,14 @@ class TestIncidence:
         with pytest.raises(HypergraphError, match="must be integers"):
             hgm.segment_view(src, seg, 2, 3)
 
+    @pytest.mark.parametrize("src, seg", [
+        ([True, 1], [0, 0]), ([0, 1], [0, True]), ((1, np.True_), [0, 0]),
+    ])
+    def test_segment_view_rejects_a_bool_among_int_ids(self, src, seg):
+        # numpy makes an int64 array of such a list, reading the bool as id 1
+        with pytest.raises(HypergraphError, match="must be integers"):
+            hgm.segment_view(src, seg, 1, 2)
+
     def test_segment_view_accepts_empty_float_ids(self):
         view = hgm.segment_view(np.array([]), np.array([]), 2, 3)
         assert view.src.dtype == view.seg.dtype == np.int64

@@ -137,6 +137,11 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match=match):
             cross_entropy_loss(Tensor(np.zeros((3, 2))), np.array([0, 1, 0]), np.array(mask))
 
+    def test_a_bool_among_int_mask_ids_rejected(self):
+        # np.asarray([True, 2]) is int64 [1, 2]: rows 1 and 2 would be scored
+        with pytest.raises(ValueError, match="must be integers"):
+            cross_entropy_loss(Tensor(np.zeros((3, 2))), np.array([0, 1, 0]), [True, 2])
+
     @pytest.mark.parametrize("labels, match", [
         ([0, -1, 1], r"label -1 not in \[0, 3\)"),
         ([0, 3, 1], r"label 3 not in \[0, 3\)"),

@@ -292,6 +292,27 @@ class TestHcha:
         assert nn.grad_check(build, params).max_rel_err < 1e-4
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(hypergraphs_with_features(low=0.0), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_layer_matches_printed_formula(self, case, attention, seed):
+        hg, x = case
+        rng = np.random.default_rng(seed)
+        hg = from_edge_list(hg.n, hg.edges, weights=rng.uniform(0.5, 2.0, hg.num_edges))
+        # nonnegative inputs keep every pre-activation >= 0: no cancellation,
+        # so the check is relative
+        theta = rng.uniform(0.0, 1.0, size=(x.shape[1], 2))
+        bias = rng.uniform(0.0, 1.0, size=(1, 2))
+        params = {"hcha.theta": ad.parameter(theta), "hcha.bias": ad.parameter(bias)}
+        att = z = None
+        if attention:
+            att = rng.normal(size=(1, x.shape[1] + 2))
+            z = rng.normal(size=(hg.num_edges, 2))
+            params["hcha.att"] = ad.parameter(att)
+        got = hcha_layer(hg, x, params, edge_feats=z)
+        want = oracles.hcha_layer(hg, x, theta, bias, att, z)
+        np.testing.assert_allclose(got.value, want, rtol=1e-12, atol=0)
+
+
 class TestHnhn:
     def test_zero_exponents_are_plain_means(self):
         hg = from_edge_list(2, [[0, 1]])
@@ -306,6 +327,14 @@ class TestHnhn:
                                   activation="identity")
         np.testing.assert_allclose(z_out.value, [[3.0, 5.0]])
         np.testing.assert_allclose(x_out.value, [[3.0, 5.0], [3.0, 5.0]])
+
+    def test_edgeless_hypergraph_gives_zero_rows(self):
+        # with no pairs, np.bincount returns int64 normalizers
+        hg = from_edge_list(2, [])
+        params = init_hnhn_params(nn.make_rng(7), 2, 3, 2)
+        z_out, x_out = hnhn_layer(hg, np.ones((2, 2)), params)
+        assert z_out.shape == (0, 3)
+        np.testing.assert_array_equal(x_out.value, np.zeros((2, 2)))
 
     def test_node_normalizer_variants_differ(self):
         hg = from_edge_list(4, [[0, 1, 2], [2, 3]])
@@ -515,6 +544,39 @@ class TestHyperSage:
                 )
 
             assert nn.grad_check(build, params).max_rel_err < 1e-4
+
+
+RELABELLED_RULES = {
+    "hgnn": (lambda rng, f: init_hgnn_params(rng, f, 2),
+             lambda hg, x, params, z: hgnn_layer(hg, x, params)),
+    "hcha": (lambda rng, f: init_hcha_params(rng, f, 2),
+             lambda hg, x, params, z: hcha_layer(hg, x, params)),
+    "hcha_attention": (lambda rng, f: init_hcha_params(rng, f, 2, f_edge=2),
+                       lambda hg, x, params, z: hcha_layer(hg, x, params, edge_feats=z)),
+    "hnhn": (lambda rng, f: init_hnhn_params(rng, f, 3, 2),
+             lambda hg, x, params, z: hnhn_layer(hg, x, params, alpha=-0.5, beta=0.3)[1]),
+    "hypersage": (lambda rng, f: init_hypersage_params(rng, f, 2),
+                  lambda hg, x, params, z: hypersage_layer(hg, x, params, p=2)),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RELABELLED_RULES))
+@settings(max_examples=60, deadline=None)
+@given(hypergraphs_with_features(low=0.0), st.randoms(use_true_random=False))
+def test_node_relabelling_equivariance(rule, case, rnd):
+    """Renaming the nodes renames the output rows and changes nothing else."""
+    hg, x = case
+    init, layer = RELABELLED_RULES[rule]
+    params = init(nn.make_rng(rnd.randrange(2**32)), x.shape[1])
+    z = np.array([[rnd.uniform(-1, 1) for _ in range(2)] for _ in hg.edges]).reshape(-1, 2)
+    perm = list(range(hg.n))
+    rnd.shuffle(perm)  # node v becomes perm[v]
+    relabelled = from_edge_list(hg.n, [[perm[v] for v in e] for e in hg.edges])
+    x_perm = np.empty_like(x)
+    x_perm[perm] = x
+    out = layer(hg, x, params, z).value
+    out_perm = layer(relabelled, x_perm, params, z).value
+    np.testing.assert_allclose(out_perm[perm], out, rtol=1e-12, atol=1e-12)
 
 
 class TestStorageOrderInvariance:

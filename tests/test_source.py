@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import hgx.autodiff
+import hgx.rules
 
 MODULES = sorted(Path(hgx.autodiff.__file__).parent.glob("*.py"))
 
@@ -35,3 +36,34 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def segment_sum_callers(source: str) -> list:
+    """Top-level functions (``<module>`` outside any) that call
+    ``segment_sum``, either as ``ad.segment_sum`` or by a bare name."""
+    callers = set()
+    tree = ast.parse(source)
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "segment_sum" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)
+            ):
+                callers.add(owner)
+    return sorted(callers)
+
+
+def test_segment_sum_callers_are_found():
+    source = ("from hgx import autodiff as ad\nfrom hgx.autodiff import segment_sum\n"
+              "def f(x, v):\n    return ad.segment_sum(x, v)\n"
+              "def g(x, v):\n    return [segment_sum(x, v)]\n"
+              "def h(x, v):\n    return ad.segment_softmax(x, v)\n"
+              "y = ad.segment_sum(1, 2)\n")
+    assert segment_sum_callers(source) == ["<module>", "f", "g"]
+
+
+def test_rules_aggregate_through_pools_except_hypergcn():
+    """Every rule but HyperGCN, whose ``W`` depends on the features, sums
+    through an AllSet layer's pools, never by its own ``segment_sum``."""
+    source = Path(hgx.rules.__file__).read_text()
+    assert segment_sum_callers(source) == ["hypergcn_layer"]
