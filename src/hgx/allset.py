@@ -33,12 +33,8 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .hypergraph import Hypergraph, SegmentView, segment_view
+from .hypergraph import Hypergraph, SegmentView
 from .nn import MlpSpec
-
-
-class EmptyMultisetError(ValueError):
-    pass
 
 
 class PerAggregatorGuardError(ValueError):
@@ -50,7 +46,8 @@ PER_AGGREGATOR_PAIR_GUARD = 200_000
 
 
 def node_tensor(hg: Hypergraph, x) -> Tensor:
-    """``x`` as a tensor with one row per node of ``hg``."""
+    """``x`` as a tensor with one row per node of ``hg``: the one check
+    that every layer and rule reads node rows through."""
     xt = ad.wrap(x)
     if xt.shape[0] != hg.n:
         raise ad.ShapeMismatchError(f"features have {xt.shape[0]} rows for {hg.n} nodes")
@@ -59,7 +56,8 @@ def node_tensor(hg: Hypergraph, x) -> Tensor:
 
 class MultisetFunction:
     """Base interface: a permutation-invariant reduction from the rows of
-    each segment to one output row per segment."""
+    each segment of a view to one output row per segment.  A pool is
+    entered only through :meth:`aggregate`."""
 
     def out_dim(self, in_dim: int) -> int:
         return in_dim
@@ -79,15 +77,6 @@ class MultisetFunction:
         """One output row per segment of ``view``, reducing the rows of
         ``src`` that the view gathers into it."""
         raise NotImplementedError
-
-    def __call__(self, params: Dict[str, Tensor], rows, prefix: str = "f") -> Tensor:
-        """Evaluate on a single multiset given as a row matrix."""
-        rows = ad.wrap(rows)
-        if rows.shape[0] == 0:
-            raise EmptyMultisetError("multiset function applied to an empty multiset")
-        n = rows.shape[0]
-        view = segment_view(np.arange(n), np.zeros(n, dtype=np.int64), 1, n)
-        return self.aggregate(params, rows, view, prefix)
 
 
 class SumPool(MultisetFunction):
@@ -314,13 +303,7 @@ class AllSetLayer:
         xt = node_tensor(hg, x)
         z = self.v2e.aggregate(params, xt, self._views(hg)[0], f"{prefix}.v2e")
         if self.use_second_argument and z_prev is not None:
-            zp = ad.wrap(z_prev)
-            if zp.shape[0] != hg.num_edges:
-                raise ad.ShapeMismatchError(
-                    f"previous edge state has {zp.shape[0]} rows for "
-                    f"{hg.num_edges} edges"
-                )
-            z = ad.concat_cols([z, zp])
+            z = ad.concat_cols([z, ad.wrap(z_prev)])  # raises unless one row per edge
         return z
 
     def e2v_forward(

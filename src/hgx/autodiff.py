@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
 Every value is a 2-D float64 array (scalars are 1x1, vectors are single
-rows).  Operations record their inputs and a vector-Jacobian closure per
-input; ``Tensor.backward`` walks the recorded graph once in reverse
+rows).  An operation whose result needs a gradient records its inputs
+and a vector-Jacobian closure per input; a result of constants records
+nothing.  ``Tensor.backward`` walks the recorded graph once in reverse
 topological order.
 
 Segment ops reduce over a :class:`~hgx.hypergraph.SegmentView`, whose
@@ -26,7 +27,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 from scipy import sparse
 
-from .hypergraph import holds_bool
+from .hypergraph import id_array
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -68,8 +69,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad) or any(
             p.requires_grad for p in _parents
         )
-        self._parents = _parents
-        self._vjps = _vjps
+        # backward never walks past a constant, so a constant keeps no tape
+        self._parents, self._vjps = (_parents, _vjps) if self.requires_grad else ((), ())
 
     @property
     def shape(self) -> tuple:
@@ -333,19 +334,15 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows ``a[idx]``; the backward pass adds each row's
-    gradients in pair order.  Indices must be integers (float or bool
-    ones, or a list with a bool, raise ``ValueError``); negative ones
-    count from the end."""
-    ids = np.asarray(idx)
-    if ids.size and ids.dtype.kind not in "iu" or holds_bool(idx):
-        raise ValueError(f"row indices must be integers, got {ids.dtype} from {idx!r:.40}")
-    idx = ids.astype(np.int64, copy=False)
+    gradients in pair order.  ``idx`` is checked by
+    :func:`~hgx.hypergraph.id_array`: ids that are not integers, or lie
+    outside ``[0, rows)`` (negative ones included), raise ``ValueError``."""
+    idx = id_array(idx, a.shape[0], "row")
     p = len(idx)
 
     def vjp(g):  # one entry per column: a scatter without a sort
-        rows = np.where(idx < 0, idx + a.shape[0], idx)  # forward checked the range
         cols = np.arange(p + 1)
-        return sparse.csc_array((np.ones(p), rows, cols), shape=(a.shape[0], p)) @ g
+        return sparse.csc_array((np.ones(p), idx, cols), shape=(a.shape[0], p)) @ g
 
     return Tensor(a.value[idx], _parents=(a,), _vjps=(vjp,))
 

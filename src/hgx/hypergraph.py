@@ -144,29 +144,30 @@ class SegmentView:
                                 shape=(self.count, self.src_count))
 
 
-def holds_bool(ids) -> bool:
-    """Whether ``ids``, when not an ndarray, holds a ``bool``, which numpy
-    would read as id 0 or 1 among ints; an ndarray is not scanned."""
-    return not isinstance(ids, np.ndarray) and any(
+def id_array(ids, bound: int, name: str) -> np.ndarray:
+    """``ids`` as 1-D int64 ids in ``[0, bound)``, an int64 ndarray not
+    copied.  A float or bool dtype (an empty array of any dtype passes), a
+    list holding a ``bool`` (numpy reads it as id 0 or 1), more than one
+    dimension or an id out of range raise :class:`HypergraphError`."""
+    a = np.asarray(ids)
+    if a.size and a.dtype.kind not in "iu" or not isinstance(ids, np.ndarray) and any(
         isinstance(v, (bool, np.bool_)) for v in np.asarray(ids, dtype=object).flat
-    )
+    ):
+        raise HypergraphError(f"{name} ids must be integers, got {a.dtype} from {ids!r:.40}")
+    a = a.astype(np.int64, copy=False)
+    if a.ndim != 1 or len(a) and not 0 <= a.min() <= a.max() < bound:
+        raise HypergraphError(f"{name} must be 1-D ids in [0, {bound})")
+    return a
 
 
 def segment_view(src, seg, count: int, src_count: int) -> SegmentView:
-    """Build a read-only view from pair arrays; ids that are not integers
-    (float or bool, or a list with a bool; an empty array of any dtype
-    passes), a ``seg`` id outside ``[0, count)`` or a ``src`` id outside
-    ``[0, src_count)`` raise."""
-    for name, ids in (("seg", seg), ("src", src)):
-        a = np.asarray(ids)
-        if a.size and a.dtype.kind not in "iu" or holds_bool(ids):
-            raise HypergraphError(
-                f"{name} ids must be integers, got {a.dtype} from {ids!r:.40}")
-    seg = _readonly(np.array(seg, dtype=np.int64))
-    src = _readonly(np.array(src, dtype=np.int64))
-    for name, ids, bound in (("seg", seg, count), ("src", src, src_count)):
-        if ids.shape != seg.shape[:1] or len(ids) and not 0 <= ids.min() <= ids.max() < bound:
-            raise HypergraphError(f"{name} must be {len(seg)} ids in [0, {bound})")
+    """Build a view from pair arrays, checked by :func:`id_array` (``seg``
+    ids in ``[0, count)``, ``src`` ids in ``[0, src_count)``, one of each
+    per pair); the view keeps its own read-only int64 copies."""
+    seg = _readonly(id_array(seg, count, "seg").copy())
+    src = _readonly(id_array(src, src_count, "src").copy())
+    if src.shape != seg.shape:
+        raise HypergraphError(f"{len(src)} src ids for {len(seg)} seg ids")
     sizes = _readonly(np.bincount(seg, minlength=count).astype(np.float64))
     nonempty = _readonly((sizes > 0).astype(np.float64).reshape(-1, 1))
     return SegmentView(src, seg, int(count), int(src_count), sizes, nonempty)

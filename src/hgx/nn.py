@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .hypergraph import holds_bool
+from .hypergraph import id_array
 
 
 class EmptyMaskError(ValueError):
@@ -121,21 +121,19 @@ def cross_entropy_loss(
 ) -> Tensor:
     """Mean negative log-softmax of the true class over the masked rows.
 
-    ``labels`` holds one integer class id per logit row; ``mask`` is an
-    integer index array selecting the rows that contribute.  Labels that
-    are not integers, a label count other than the row count, a masked
-    label outside ``[0, classes)``, and a mask that is not integer (float
-    or bool) or holds a row id outside ``[0, rows)`` raise ``ValueError``.
+    ``labels`` holds one integer class id per logit row; ``mask`` holds
+    the ids of the rows that contribute, checked by
+    :func:`~hgx.hypergraph.id_array` (ids that are not integers or lie
+    outside ``[0, rows)`` raise ``ValueError``).  Labels that are not
+    integers, a label count other than the row count and a masked label
+    outside ``[0, classes)`` raise ``ValueError`` too; unmasked labels
+    are not read.
     """
-    labels = np.asarray(labels)
-    if holds_bool(mask):  # the array numpy makes of it reads a bool as row 0 or 1
-        raise ValueError("mask row ids must be integers, not bool")
-    mask = np.asarray(mask)
+    rows, classes = logits.shape
+    mask = id_array(mask, rows, "mask")
     if mask.size == 0:
         raise EmptyMaskError("cross entropy over an empty row subset")
-    rows, classes = logits.shape
-    if mask.min() < 0 or mask.max() >= rows:  # gather_rows rejects float and bool ids
-        raise ValueError(f"mask row ids must lie in [0, {rows})")
+    labels = np.asarray(labels)
     if labels.dtype.kind not in "iu" or labels.shape != (rows,):
         raise ValueError(f"{labels.dtype} labels of shape {labels.shape} "
                          f"for {rows} logit rows; need one integer per row")

@@ -3,18 +3,18 @@
 AllSet's claim is that each rule is two multiset functions, node->edge
 then edge->node; here each is an :class:`~hgx.allset.AllSetLayer` of fixed
 pools, so every aggregation but HyperGCN's is a pool over the incidence's
-two views.  The fixed rules take and return numpy arrays: CEpropH is a
-shared-state sum/sum layer, CEpropA the pair-state sum/sum layer, and
-Zprop (d - 1) times the pair-state product/sum layer.  The trainable
-rules run on the autodiff engine so their parameters can be optimized
-and gradient-checked: HGNN, HCHA and HNHN are weighted-sum layers whose
-pair weights and segment scales carry their normalizers (HCHA's
-attention is a Tensor of pair weights), and HyperSAGE is a mean/mean
-layer between the p-th power and the p-th root.  HyperGCN's ``W``
-depends on the features, so it aggregates through a view built per
-forward pass from ``W``'s ``(row, column, weight)`` triples, applied to
-the projected features as ``W (X Theta)``.  No layer holds a dense
-n-by-n matrix.
+two views.  The rules are one family: each reads node rows through
+:func:`~hgx.allset.node_tensor` and returns Tensors on the autodiff
+engine, so gradients reach ``x`` and any parameters.  CEpropH is a
+shared-state sum/sum layer, CEpropA the pair-state sum/sum layer, Zprop
+(d - 1) times the pair-state product/sum layer and Hprop its (d - 1)-th
+root.  HGNN, HCHA and HNHN are weighted-sum layers whose pair weights
+and segment scales carry their normalizers (HCHA's attention is a Tensor
+of pair weights), and HyperSAGE is a mean/mean layer between the p-th
+power and the p-th root.  HyperGCN's ``W`` depends on the features, so
+it aggregates through a view built per forward pass from ``W``'s
+``(row, column, weight)`` triples, applied to the projected features as
+``W (X Theta)``.  No layer holds a dense n-by-n matrix.
 
 Conventions shared by every rule:
   - features are one row per node;
@@ -58,15 +58,6 @@ class ZeroNormalizerError(ValueError):
     pass
 
 
-def _check_rows(hg: Hypergraph, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    if x.shape[0] != hg.n:
-        raise ShapeMismatchError(f"features have {x.shape[0]} rows for {hg.n} nodes")
-    return x
-
-
 # --- fixed rules ------------------------------------------------------------
 
 
@@ -75,38 +66,43 @@ _CE_PROP_A = AllSetLayer(SumPool(), SumPool(), variant="per_aggregator")
 _Z_PROP = AllSetLayer(ProductPool(), SumPool(), variant="per_aggregator")
 
 
-def ce_prop_h(hg: Hypergraph, x: np.ndarray) -> np.ndarray:
+def ce_prop_h(hg: Hypergraph, x) -> Tensor:
     """Each node receives the summed features of every co-member,
     including itself once per shared hyperedge."""
-    return _CE_PROP_H.forward({}, hg, _check_rows(hg, x))[1].value
+    return _CE_PROP_H.forward({}, hg, x)[1]
 
 
-def ce_prop_a(hg: Hypergraph, x: np.ndarray) -> np.ndarray:
+def ce_prop_a(hg: Hypergraph, x) -> Tensor:
     """Like :func:`ce_prop_h` but each node's own feature is excluded
     from the inner sum (zero-diagonal clique expansion).  The exclusion
     is a leave-one-out sum, not the h - d*x identity, so that
     single-neighbor contributions are passed through bit-exactly."""
-    return _CE_PROP_A.forward({}, hg, _check_rows(hg, x))[1].value
+    return _CE_PROP_A.forward({}, hg, x)[1]
 
 
-def z_prop(hg: Hypergraph, x: np.ndarray, d: int) -> np.ndarray:
+def z_prop(hg: Hypergraph, x, d: int) -> Tensor:
     """Product-based update for d-uniform hypergraphs: every node
     receives, per incident edge, the elementwise product of the other
     members' features, and the sum is scaled by (d - 1)."""
-    x = _check_rows(hg, x)
     if hg.num_edges and hg.uniform_order() != d:
         raise NotUniformError(f"hypergraph is not {d}-uniform")
-    return (d - 1) * _Z_PROP.forward({}, hg, x)[1].value
+    return ad.mul(_Z_PROP.forward({}, hg, x)[1], ad.constant(d - 1))
 
 
-def h_prop(hg: Hypergraph, x: np.ndarray, d: int) -> np.ndarray:
+def h_prop(hg: Hypergraph, x, d: int) -> Tensor:
     """Root-taking variant of :func:`z_prop`; restricted to strictly
     positive features so the (d-1)-th root stays real."""
-    x = _check_rows(hg, x)
-    if not (x > 0).all():
+    xt = node_tensor(hg, x)
+    if not (xt.value > 0).all():
         raise NonPositiveInputError("h_prop requires strictly positive features")
-    z = z_prop(hg, x, d)
-    return np.power(z, 1.0 / (d - 1))
+    return _root(z_prop(hg, xt, d), d - 1, hg.incidence.e2v.nonempty)
+
+
+def _root(t: Tensor, p: float, nonempty: np.ndarray) -> Tensor:
+    """``t ** (1/p)``, rooted at 1 then zeroed in the rows where ``nonempty``
+    is 0 (isolated nodes), so the root's VJP stays finite there."""
+    shifted = ad.add(t, ad.constant(1.0 - nonempty))
+    return ad.mul(ad.power(shifted, 1.0 / p), ad.constant(nonempty))
 
 
 # --- trainable layers -------------------------------------------------------
@@ -177,10 +173,9 @@ def hcha_layer(
 
     Per-incidence attention compares a node's features with its
     hyperedge's features and normalizes across the edges incident to
-    that node; it needs ``params`` from ``init_hcha_params(...,
-    f_edge=...)``.  Without hyperedge features the attention module is
-    unusable and the layer falls back to uniform weights 1/d_u and
-    1/d_v.
+    that node; it takes ``edge_feats`` and ``params`` from
+    ``init_hcha_params(..., f_edge=...)``, and one without the other
+    raises.  Without both, the weights are the uniform 1/d_u and 1/d_v.
     """
     act = _activation(activation, ("elu", "relu"))
     xt = node_tensor(hg, x)
@@ -188,9 +183,10 @@ def hcha_layer(
     pn, pe = inc.nodes, inc.edges
     inv_deg = _inverse(inc.e2v.sizes)
 
+    if (edge_feats is not None) != ("hcha.att" in params):
+        raise ValueError("attention takes both edge_feats and the hcha.att of "
+                         "init_hcha_params(..., f_edge=...), or neither")
     if edge_feats is not None:
-        if "hcha.att" not in params:
-            raise ValueError("edge_feats need init_hcha_params(..., f_edge=...)")
         zt = ad.wrap(edge_feats)
         if zt.shape[0] != hg.num_edges:
             raise ShapeMismatchError(
@@ -375,13 +371,10 @@ def hypersage_layer(
     xp = xt if p == 1 else ad.power(xt, float(p))
     # z_e = edge_mean ** (1/p); z_e**p reappears at once, so no root between the means
     node_mean = _HYPERSAGE.forward({}, hg, xp, prefix="hypersage")[1]
-    pooled = node_mean if p == 1 else ad.power(node_mean, 1.0 / p)
+    pooled = node_mean if p == 1 else _root(node_mean, p, hg.incidence.e2v.nonempty)
     x_star = ad.add(pooled, xt)
-    norms = np.sqrt((x_star.value**2).sum(axis=1, keepdims=True))
-    if (norms == 0).any():
+    norm = ad.sqrt(ad.row_sum(ad.mul(x_star, x_star)))
+    if (norm.value == 0).any():
         raise ZeroNormRowError("row with zero norm before normalization")
-    inv_norm = ad.div(
-        ad.constant(1.0), ad.sqrt(ad.row_sum(ad.mul(x_star, x_star)))
-    )
-    normalized = ad.mul(x_star, inv_norm)
+    normalized = ad.mul(x_star, ad.div(ad.constant(1.0), norm))
     return act(ad.matmul(normalized, params["hypersage.theta"]))

@@ -6,6 +6,7 @@ the package so that no path is checked against itself:
 - loop forms of the fixed rules (CEpropH, CEpropA, Zprop) and a general
   loop over (edge, member) pair states, the reference for the pair-state
   layer variant;
+- a pool applied to one multiset of rows, through a one-segment view;
 - the dense incidence and clique-expansion matrices and the order-d
   adjacency tensor;
 - HyperGCN's loop-chosen mediator pairs, its dense ``W`` filled by a
@@ -36,7 +37,7 @@ from hypothesis import strategies as st
 from hgx import autodiff as ad
 from hgx import rules
 from hgx.allset import AllSetLayer, ProductPool, SumPool
-from hgx.hypergraph import Hypergraph, NotUniformError, from_edge_list
+from hgx.hypergraph import Hypergraph, NotUniformError, from_edge_list, segment_view
 from hgx.nn import make_rng
 
 
@@ -95,6 +96,13 @@ def z_prop(hg: Hypergraph, x: np.ndarray, d: int) -> np.ndarray:
     """Zprop: per pair, (d - 1) times the product of the other members'
     rows."""
     return pair_propagate(hg, x, lambda rows: (d - 1) * rows.prod(axis=0))
+
+
+def one_multiset(pool, params, rows, prefix="f"):
+    """``pool`` on the one multiset of ``rows``, through a one-segment view."""
+    rows = ad.wrap(rows)
+    n = rows.shape[0]
+    return pool.aggregate(params, rows, segment_view(np.arange(n), np.zeros(n, np.int64), 1, n), prefix)
 
 
 @st.composite

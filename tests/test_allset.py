@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import oracles
 import pytest
@@ -11,7 +13,6 @@ from hgx.allset import (
     AllSetLayer,
     AllSetNetwork,
     DeepSetsPool,
-    EmptyMultisetError,
     MeanPool,
     PerAggregatorGuardError,
     ProductPool,
@@ -140,7 +141,7 @@ class TestLearnedPools:
         logits = ad.row_sum(ad.mul(k0, ad.slice_cols(params["f.seed"], 0, 3)))
         w = ad.segment_softmax(logits, segment_view(np.arange(1), pe, 1, 1))
         np.testing.assert_allclose(w.value, [[1.0]], atol=1e-15)
-        out = pool(params, row, prefix="f")
+        out = oracles.one_multiset(pool, params, row, "f")
         assert out.shape == (1, 6)
         assert np.isfinite(out.value).all()
 
@@ -167,17 +168,6 @@ class TestLearnedPools:
         with pytest.raises(ValueError, match="positive integers"):
             SetTransformerPool(heads=heads, head_dim=head_dim)
 
-    def test_empty_multiset_rejected(self):
-        rng = nn.make_rng(4)
-        ds = DeepSetsPool(MlpSpec((2, 3)), MlpSpec((3, 2)))
-        st = SetTransformerPool(heads=1, head_dim=2)
-        p1 = ds.init_params(rng, 2, "f")
-        p2 = st.init_params(rng, 2, "g")
-        with pytest.raises(EmptyMultisetError):
-            ds(p1, np.zeros((0, 2)))
-        with pytest.raises(EmptyMultisetError):
-            st(p2, np.zeros((0, 2)), prefix="g")
-
     def test_deepsets_gradcheck(self):
         rng = nn.make_rng(5)
         pool = DeepSetsPool(MlpSpec((2, 4, 3)), MlpSpec((3, 3, 2)))
@@ -186,7 +176,7 @@ class TestLearnedPools:
         c = rng.normal(size=(1, 2))
 
         def build():
-            return ad.sum_all(ad.mul(pool(params, rows), ad.constant(c)))
+            return ad.sum_all(ad.mul(oracles.one_multiset(pool, params, rows), ad.constant(c)))
 
         assert nn.grad_check(build, params).max_rel_err < 1e-4
 
@@ -199,7 +189,7 @@ class TestLearnedPools:
 
         def build():
             return ad.sum_all(
-                ad.mul(pool(params, rows, prefix="f"), ad.constant(c))
+                ad.mul(oracles.one_multiset(pool, params, rows, "f"), ad.constant(c))
             )
 
         assert nn.grad_check(build, params).max_rel_err < 1e-4
@@ -471,6 +461,12 @@ class TestNetwork:
 
         assert nn.grad_check(build, params).max_rel_err < 1e-4
 
+    def test_previous_edge_state_needs_one_row_per_edge(self):
+        hg = from_edge_list(3, [[0, 1], [1, 2]])
+        layer = AllSetLayer(SumPool(), SumPool(), use_second_argument=True)
+        with pytest.raises(ad.ShapeMismatchError):
+            layer.v2e_forward({}, hg, np.ones((3, 1)), z_prev=np.ones((3, 1)))
+
     def test_unaccounted_initial_edge_state_rejected(self):
         hg = from_edge_list(3, [[0, 1], [1, 2]])
         net = AllSetNetwork(
@@ -498,8 +494,54 @@ class TestNetwork:
         with pytest.raises(ValueError):
             net.forward(params, hg, np.ones((3, 2)), training=True)
 
+    def test_training_forward_with_dropout(self):
+        rng = nn.make_rng(14)
+        hg = random_hypergraph(rng, n_max=8)
+        net = AllSetNetwork(
+            in_dim=3, num_classes=2, layers=[AllSetLayer(SumPool(), SumPool())],
+            input_proj=MlpSpec((3, 4)), dropout=0.5,
+        )
+        params = net.init_params(rng)
+        x = rng.normal(size=(hg.n, 3))
+        evaluated = net.forward(params, hg, x, rng=nn.make_rng(15)).value
+        np.testing.assert_array_equal(net.forward(params, hg, x).value, evaluated)
+        trained = net.forward(params, hg, x, rng=nn.make_rng(15), training=True)
+        again = net.forward(params, hg, x, rng=nn.make_rng(15), training=True)
+        np.testing.assert_array_equal(trained.value, again.value)
+        assert not np.array_equal(trained.value, evaluated)
+        ad.sum_all(trained).backward()
+        assert all(np.isfinite(p.grad).all() for p in params.values())
+
+
+def split_large_edges(hg):
+    """``hg`` with every edge of 3 or more members replaced by its
+    member pairs, the graph a clique expansion sees."""
+    edges = []
+    for e in hg.edges:
+        edges.extend([e] if len(e) < 3 else [list(pair) for pair in combinations(e, 2)])
+    return from_edge_list(hg.n, edges)
+
 
 class TestExpressivenessWitness:
+    @settings(max_examples=200, deadline=None)
+    @given(hypergraphs_with_features(low=0.0))
+    def test_clique_expansion_blind_to_what_sum_sum_layer_sees(self, case):
+        # CEpropA cannot tell an edge from its member pairs; the Sum/Sum
+        # layer CEpropH counts each node once more per pair than per edge
+        hg, x = case
+        pairs = split_large_edges(hg)
+        extra = np.array([sum(len(e) - 2 for e in hg.edges if v in e and len(e) >= 3)
+                          for v in range(hg.n)], dtype=float).reshape(-1, 1) * x
+        for g in (hg, pairs):
+            np.testing.assert_array_equal(rules.ce_prop_a(g, x).value, oracles.ce_prop_a(g, x))
+            np.testing.assert_array_equal(rules.ce_prop_h(g, x).value, oracles.ce_prop_h(g, x))
+        np.testing.assert_allclose(rules.ce_prop_a(pairs, x).value,
+                                   rules.ce_prop_a(hg, x).value, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rules.ce_prop_h(pairs, x).value,
+                                   rules.ce_prop_h(hg, x).value + extra, rtol=1e-12, atol=0)
+        if extra.any():
+            assert not np.allclose(rules.ce_prop_h(pairs, x).value, rules.ce_prop_h(hg, x).value)
+
     def test_product_rule_unreachable_by_normalized_linear_layer(self):
         # two 3-uniform edges sharing the pair {0, 1}: the degree-based
         # two-stage aggregation gives nodes 0 and 1 identical rows for

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +112,13 @@ class TestShapesAndValues:
         x = Tensor(np.arange(6.0).reshape(3, 2))
         with pytest.raises(ValueError, match="must be integers"):
             ad.gather_rows(x, idx)
+
+    @pytest.mark.parametrize("idx", [[-1], [0, -3], [3], [0, 2, 4]])
+    def test_gather_rows_rejects_ids_outside_the_rows(self, idx):
+        # a negative id used to count from the end of the rows
+        x = Tensor(np.arange(6.0).reshape(3, 2))
+        with pytest.raises(ValueError, match=r"in \[0, 3\)"):
+            ad.gather_rows(x, np.array(idx))
 
     def test_concat_cols(self):
         a, b = Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 3)))
@@ -228,13 +238,6 @@ class TestGradients:
             lambda: ad.sum_all(ad.mul(ad.gather_rows(t, idx), c)), t
         )
 
-    def test_gather_rows_negative_index_grads_the_wrapped_row(self):
-        t = ad.parameter(np.arange(6.0).reshape(3, 2))
-        ad.sum_all(ad.gather_rows(t, np.array([-1, 0, -3, -1]))).backward()
-        np.testing.assert_array_equal(t.grad, [[2.0, 2.0], [0.0, 0.0], [2.0, 2.0]])
-        with pytest.raises(IndexError):
-            ad.gather_rows(t, np.array([-4]))
-
     def test_concat_cols_grad(self):
         rng = np.random.default_rng(19)
         a = ad.parameter(rng.normal(size=(3, 2)))
@@ -262,6 +265,43 @@ class TestGradients:
         t = ad.parameter(np.ones((3, 3)))
         rng = np.random.default_rng(0)
         assert ad.dropout(t, 0.0, rng) is t
+
+    @pytest.mark.parametrize("rate", [0.25, 0.5, 0.9])
+    def test_dropout_scales_kept_entries_by_the_inverse_keep_rate(self, rate):
+        out = ad.dropout(ad.parameter(np.ones((40, 50))), rate, np.random.default_rng(1))
+        assert set(np.unique(out.value)) == {0.0, 1.0 / (1.0 - rate)}
+        assert abs((out.value == 0).mean() - rate) < 0.05
+
+    def test_dropout_repeats_for_a_seed(self):
+        t = ad.parameter(np.random.default_rng(2).normal(size=(6, 5)))
+        first, again, other = (ad.dropout(t, 0.5, nn.make_rng(s)).value for s in (3, 3, 4))
+        assert np.array_equal(first, again)
+        assert not np.array_equal(first, other)
+
+    def test_dropout_grads_only_the_kept_entries(self):
+        rng = np.random.default_rng(5)
+        t = ad.parameter(rng.uniform(0.5, 1.5, size=(6, 5)))
+        c = ad.constant(rng.normal(size=(6, 5)))
+        out = ad.dropout(t, 0.5, rng)
+        ad.sum_all(ad.mul(out, c)).backward()
+        kept = out.value != 0
+        assert 0 < kept.sum() < kept.size
+        np.testing.assert_array_equal(t.grad[~kept], 0.0)
+        np.testing.assert_array_equal(t.grad[kept], 2.0 * c.value[kept])
+
+
+class TestTape:
+    def test_results_of_constants_keep_no_tape(self):
+        a = ad.constant(np.ones((2, 2)))
+        mid = ad.exp(a)
+        out = ad.mul(mid, a)
+        assert not out.requires_grad
+        assert out._parents == () and out._vjps == ()
+        freed = weakref.ref(mid.value)  # Tensor has __slots__ and no weakref slot
+        del mid
+        gc.collect()
+        assert freed() is None  # the result does not hold its constant inputs
+        np.testing.assert_array_equal(out.value, np.e)
 
 
 # --- segment reductions against the ufunc.at scatters they replaced --------
@@ -337,7 +377,7 @@ class TestSegmentPrimitives:
     @given(segment_cases())
     def test_segment_softmax_matches_scatter(self, case):
         seg, num, values, g = case
-        out = ad.segment_softmax(Tensor(values), pair_view(seg, num))
+        out = ad.segment_softmax(ad.parameter(values), pair_view(seg, num))
         want, want_grad = ref_segment_softmax(values, seg, num, g)
         assert np.array_equal(out.value, want)
         assert np.array_equal(out._vjps[0](g), want_grad)
@@ -347,7 +387,7 @@ class TestSegmentPrimitives:
     def test_segment_prod_matches_scatter(self, case):
         seg, num, values, g = case
         g_out = ref_segment_sum(g, seg, num)
-        out = ad.segment_prod(Tensor(values), pair_view(seg, num))
+        out = ad.segment_prod(ad.parameter(values), pair_view(seg, num))
         want, want_grad = ref_segment_prod(values, seg, num, g_out)
         np.testing.assert_array_equal(out.value, want)
         np.testing.assert_array_equal(out._vjps[0](g_out), want_grad)

@@ -214,6 +214,12 @@ class TestIncidence:
         with pytest.raises(HypergraphError, match="must be integers"):
             hgm.segment_view(src, seg, 1, 2)
 
+    def test_id_array_returns_int64_ids_without_copying_an_int64_array(self):
+        ids = np.array([2, 0, 2])
+        assert hgm.id_array(ids, 3, "ids") is ids
+        got = hgm.id_array(np.array([1, 0], dtype=np.int32), 2, "ids")
+        assert got.dtype == np.int64 and got.tolist() == [1, 0]
+
     def test_segment_view_accepts_empty_float_ids(self):
         view = hgm.segment_view(np.array([]), np.array([]), 2, 3)
         assert view.src.dtype == view.seg.dtype == np.int64

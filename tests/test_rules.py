@@ -66,16 +66,16 @@ class TestCePropRules:
     def test_double_sum_by_hand(self):
         hg = from_edge_list(3, [[0, 1], [1, 2]])
         x = np.array([[1.0], [10.0], [100.0]])
-        out = ce_prop_h(hg, x)
+        out = ce_prop_h(hg, x).value
         assert out[1, 0] == (1 + 10) + (10 + 100)
 
     def test_no_edges(self):
         hg = from_edge_list(3, [])
-        np.testing.assert_array_equal(ce_prop_h(hg, np.ones((3, 2))), 0.0)
+        np.testing.assert_array_equal(ce_prop_h(hg, np.ones((3, 2))).value, 0.0)
 
     def test_swap_on_single_edge(self):
         hg = from_edge_list(2, [[0, 1]])
-        out = ce_prop_a(hg, np.array([[1.0], [10.0]]))
+        out = ce_prop_a(hg, np.array([[1.0], [10.0]])).value
         np.testing.assert_array_equal(out, [[10.0], [1.0]])
 
     def test_a_equals_h_minus_degree_times_self(self):
@@ -83,8 +83,8 @@ class TestCePropRules:
         for _ in range(50):
             hg = random_hypergraph(rng)
             x = rng.normal(size=(hg.n, 3))
-            expected = ce_prop_h(hg, x) - hg.degrees().reshape(-1, 1) * x
-            np.testing.assert_allclose(ce_prop_a(hg, x), expected, atol=1e-12)
+            expected = ce_prop_h(hg, x).value - hg.degrees().reshape(-1, 1) * x
+            np.testing.assert_allclose(ce_prop_a(hg, x).value, expected, atol=1e-12)
 
     def test_matrix_product_oracles(self):
         rng = np.random.default_rng(1)
@@ -92,10 +92,10 @@ class TestCePropRules:
             hg = random_hypergraph(rng)
             x = rng.normal(size=(hg.n, 2))
             np.testing.assert_allclose(
-                ce_prop_h(hg, x), clique_expansion_incidence(hg) @ x, atol=1e-12
+                ce_prop_h(hg, x).value, clique_expansion_incidence(hg) @ x, atol=1e-12
             )
             np.testing.assert_allclose(
-                ce_prop_a(hg, x), clique_expansion_adjacency(hg) @ x, atol=1e-12
+                ce_prop_a(hg, x).value, clique_expansion_adjacency(hg) @ x, atol=1e-12
             )
 
     def test_shape_mismatch(self):
@@ -107,22 +107,22 @@ class TestCePropRules:
     @given(hypergraphs_with_features())
     def test_layers_equal_loop_oracles(self, case):
         hg, x = case
-        np.testing.assert_array_equal(ce_prop_h(hg, x), oracles.ce_prop_h(hg, x))
-        np.testing.assert_array_equal(ce_prop_a(hg, x), oracles.ce_prop_a(hg, x))
+        np.testing.assert_array_equal(ce_prop_h(hg, x).value, oracles.ce_prop_h(hg, x))
+        np.testing.assert_array_equal(ce_prop_a(hg, x).value, oracles.ce_prop_a(hg, x))
 
 
 class TestZProp:
     def test_single_edge_by_hand(self):
         hg = from_edge_list(3, [[0, 1, 2]])
         x = np.array([[2.0], [3.0], [5.0]])
-        out = z_prop(hg, x, 3)
+        out = z_prop(hg, x, 3).value
         np.testing.assert_allclose(out[:, 0], [2 * 15.0, 2 * 10.0, 2 * 6.0])
 
     def test_all_ones_collapse_to_scaled_degree(self):
         rng = np.random.default_rng(2)
         for d in (2, 3, 4):
             hg = random_hypergraph(rng, n_max=9, uniform=d)
-            out = z_prop(hg, np.ones((hg.n, 2)), d)
+            out = z_prop(hg, np.ones((hg.n, 2)), d).value
             expected = (d - 1) * hg.degrees().astype(float)
             np.testing.assert_allclose(out[:, 0], expected)
 
@@ -139,7 +139,7 @@ class TestZProp:
                 hg = from_edge_list(hg.n, sorted(set(hg.edges)))  # simple instances
                 x = rng.uniform(0.5, 1.5, size=(hg.n, 2))
                 np.testing.assert_allclose(
-                    z_prop(hg, x, d), tensor_contraction(hg, x, d), atol=1e-10
+                    z_prop(hg, x, d).value, tensor_contraction(hg, x, d), atol=1e-10
                 )
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -149,7 +149,7 @@ class TestZProp:
         # the layer sums the pair products and scales once by (d - 1);
         # the loop scales each product, which rounds alike for d <= 3
         hg, x = data.draw(hypergraphs_with_features(uniform=d, low=0.5))
-        got, want = z_prop(hg, x, d), oracles.z_prop(hg, x, d)
+        got, want = z_prop(hg, x, d).value, oracles.z_prop(hg, x, d)
         if d <= 3:
             np.testing.assert_array_equal(got, want)
         else:
@@ -160,20 +160,20 @@ class TestZProp:
         for _ in range(20):
             hg = random_hypergraph(rng, uniform=2)
             x = rng.normal(size=(hg.n, 3))
-            np.testing.assert_array_equal(z_prop(hg, x, 2), ce_prop_a(hg, x))
+            np.testing.assert_array_equal(z_prop(hg, x, 2).value, ce_prop_a(hg, x).value)
 
 
 class TestHProp:
     def test_single_edge_sqrt(self):
         hg = from_edge_list(3, [[0, 1, 2]])
         x = np.array([[2.0], [3.0], [5.0]])
-        np.testing.assert_allclose(h_prop(hg, x, 3)[0, 0], np.sqrt(30.0))
+        np.testing.assert_allclose(h_prop(hg, x, 3).value[0, 0], np.sqrt(30.0))
 
     def test_all_ones(self):
         rng = np.random.default_rng(5)
         for d in (3, 4):
             hg = random_hypergraph(rng, uniform=d)
-            out = h_prop(hg, np.ones((hg.n, 1)), d)
+            out = h_prop(hg, np.ones((hg.n, 1)), d).value
             expected = ((d - 1) * hg.degrees().astype(float)) ** (1.0 / (d - 1))
             np.testing.assert_allclose(out[:, 0], expected)
 
@@ -191,8 +191,31 @@ class TestHProp:
                 hg = random_hypergraph(rng, n_max=8, uniform=d)
                 x = rng.uniform(0.5, 2.0, size=(hg.n, 2))
                 np.testing.assert_allclose(
-                    h_prop(hg, x, d) ** (d - 1), z_prop(hg, x, d), atol=1e-10
+                    h_prop(hg, x, d).value ** (d - 1), z_prop(hg, x, d).value, atol=1e-10
                 )
+
+
+FIXED_RULES = {
+    "ce_prop_h": lambda hg, x: ce_prop_h(hg, x),
+    "ce_prop_a": lambda hg, x: ce_prop_a(hg, x),
+    "z_prop": lambda hg, x: z_prop(hg, x, 3),
+    "h_prop": lambda hg, x: h_prop(hg, x, 3),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(FIXED_RULES))
+def test_fixed_rules_gradcheck_with_respect_to_x(rule):
+    # 3-uniform, with node 5 isolated: h_prop's root meets its zero row
+    hg = from_edge_list(6, [[0, 1, 2], [1, 2, 3], [2, 3, 4], [0, 3, 4]])
+    rng = nn.make_rng(22)
+    x = ad.parameter(rng.uniform(0.5, 1.5, size=(6, 2)))
+    c = ad.constant(rng.normal(size=(6, 2)))
+
+    def build():
+        return ad.sum_all(ad.mul(FIXED_RULES[rule](hg, x), c))
+
+    assert nn.grad_check(build, {"x": x}).max_rel_err < 1e-6
+    assert np.abs(x.grad[:5]).min() > 0 and np.isfinite(x.grad).all()
 
 
 class TestHgnn:
@@ -239,6 +262,13 @@ class TestHcha:
         with pytest.raises(ValueError, match=r"init_hcha_params\(\.\.\., f_edge=\.\.\.\)"):
             hcha_layer(hg, np.ones((3, 2)), params, edge_feats=np.ones((2, 2)))
 
+    def test_attention_params_without_edge_feats_rejected(self):
+        # hcha.att would get no gradient from uniform weights
+        hg = from_edge_list(3, [[0, 1], [1, 2]])
+        params = init_hcha_params(nn.make_rng(3), 2, 2, f_edge=2)
+        with pytest.raises(ValueError, match=r"init_hcha_params\(\.\.\., f_edge=\.\.\.\)"):
+            hcha_layer(hg, np.ones((3, 2)), params)
+
     def test_uniform_attention_without_edge_feats(self):
         hg = from_edge_list(3, [[0, 1], [1, 2], [0, 1, 2]])
         params = init_hcha_params(nn.make_rng(3), 2, 2)
@@ -254,7 +284,7 @@ class TestHcha:
         x = np.ones((4, 2))
         z = np.zeros((hg.num_edges, 3))
         with_att = hcha_layer(hg, x, params, edge_feats=z)
-        without = hcha_layer(hg, x, params)
+        without = hcha_layer(hg, x, {k: v for k, v in params.items() if k != "hcha.att"})
         np.testing.assert_allclose(with_att.value, without.value, atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
@@ -524,6 +554,25 @@ class TestHyperSage:
         want = oracles.hypersage_layer(hg, x, theta, p)
         np.testing.assert_allclose(got.value, want, rtol=1e-12, atol=0)
 
+    def test_power_mean_backward_stays_finite_at_an_isolated_node(self):
+        # node 3 is isolated: its pooled row is zero, where the p-th root's
+        # VJP divided by zero and put an inf on the tape
+        hg = from_edge_list(4, [[0, 1], [1, 2], [0, 1, 2]])
+        rng = nn.make_rng(20)
+        params = init_hypersage_params(rng, 2, 2)
+        params["x"] = ad.parameter(rng.uniform(0.3, 1.2, size=(4, 2)))
+        c = ad.constant(rng.normal(size=(4, 2)))
+        out = hypersage_layer(hg, params["x"], params, p=2)
+        theta = params["hypersage.theta"].value
+        np.testing.assert_allclose(out.value, oracles.hypersage_layer(hg, params["x"].value, theta, 2),
+                                   rtol=1e-12, atol=0)
+
+        def build():
+            return ad.sum_all(ad.mul(hypersage_layer(hg, params["x"], params, p=2), c))
+
+        assert nn.grad_check(build, params).max_rel_err < 1e-4
+        assert np.isfinite(params["x"].grad).all()
+
     def test_negative_base_rejected(self):
         hg = from_edge_list(2, [[0, 1]])
         params = init_hypersage_params(nn.make_rng(13), 2, 2)
@@ -589,9 +638,9 @@ class TestStorageOrderInvariance:
             order = rng.permutation(len(shuffled_edges))
             hg2 = from_edge_list(hg.n, [shuffled_edges[i] for i in order])
             for fn in (ce_prop_h, ce_prop_a):
-                np.testing.assert_allclose(fn(hg, x), fn(hg2, x), atol=1e-9)
+                np.testing.assert_allclose(fn(hg, x).value, fn(hg2, x).value, atol=1e-9)
             np.testing.assert_allclose(
-                z_prop(hg, x, 3), z_prop(hg2, x, 3), atol=1e-9
+                z_prop(hg, x, 3).value, z_prop(hg2, x, 3).value, atol=1e-9
             )
 
 
