@@ -239,22 +239,24 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(np.where(mask, a.value, 0.0), _parents=(a,), _vjps=(lambda g: g * mask,))
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
+def leaky_relu(a: Tensor) -> Tensor:
+    """Leaky ReLU with slope 0.2 below 0."""
     mask = a.value > 0
     return Tensor(
-        np.where(mask, a.value, slope * a.value),
+        np.where(mask, a.value, 0.2 * a.value),
         _parents=(a,),
-        _vjps=(lambda g: g * np.where(mask, 1.0, slope),),
+        _vjps=(lambda g: g * np.where(mask, 1.0, 0.2),),
     )
 
 
-def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
+def elu(a: Tensor) -> Tensor:
+    """ELU with alpha 1: ``exp(a) - 1`` below 0."""
     mask = a.value > 0
-    out = np.where(mask, a.value, alpha * (np.exp(a.value) - 1.0))
+    out = np.where(mask, a.value, np.exp(a.value) - 1.0)
     return Tensor(
         out,
         _parents=(a,),
-        _vjps=(lambda g: g * np.where(mask, 1.0, out + alpha),),
+        _vjps=(lambda g: g * np.where(mask, 1.0, out + 1.0),),
     )
 
 

@@ -1,4 +1,4 @@
-"""Immutable hypergraph representation, its cached incidence and the ``.hg`` text format.
+"""Immutable hypergraph representation and its cached incidence.
 
 A hypergraph is a node set ``{0, ..., n-1}`` plus a list of hyperedges, each
 a set of node ids of arbitrary size.  Hyperedges are stored as strictly
@@ -52,14 +52,6 @@ class NonpositiveWeightError(HypergraphError):
 
 class NotUniformError(HypergraphError):
     pass
-
-
-class HgParseError(HypergraphError):
-    """Raised on malformed ``.hg`` text; carries a 1-based line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 @dataclass(frozen=True)
@@ -160,17 +152,30 @@ def id_array(ids, bound: int, name: str) -> np.ndarray:
     return a
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an ``int``: a count that is a non-negative integer and
+    not a ``bool``; anything else raises :class:`HypergraphError`."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise HypergraphError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < 0:
+        raise HypergraphError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def segment_view(src, seg, count: int, src_count: int) -> SegmentView:
     """Build a view from pair arrays, checked by :func:`id_array` (``seg``
     ids in ``[0, count)``, ``src`` ids in ``[0, src_count)``, one of each
-    per pair); the view keeps its own read-only int64 copies."""
+    per pair) after both counts by :func:`_count`; the view keeps its own
+    read-only int64 copies."""
+    count, src_count = _count(count, "count"), _count(src_count, "src_count")
     seg = _readonly(id_array(seg, count, "seg").copy())
     src = _readonly(id_array(src, src_count, "src").copy())
     if src.shape != seg.shape:
         raise HypergraphError(f"{len(src)} src ids for {len(seg)} seg ids")
     sizes = _readonly(np.bincount(seg, minlength=count).astype(np.float64))
     nonempty = _readonly((sizes > 0).astype(np.float64).reshape(-1, 1))
-    return SegmentView(src, seg, int(count), int(src_count), sizes, nonempty)
+    return SegmentView(src, seg, count, src_count, sizes, nonempty)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,11 +243,7 @@ def from_edge_list(
     (``bool`` and ``str`` included) or not positive, and a node count
     that is negative, a ``bool`` or not an integer.
     """
-    if isinstance(n, bool) or not hasattr(n, "__index__"):
-        raise HypergraphError(f"node count must be an integer, got {n!r}")
-    n = operator.index(n)
-    if n < 0:
-        raise HypergraphError(f"node count must be >= 0, got {n}")
+    n = _count(n, "node count")
     canon = []
     for k, raw in enumerate(raw_edges):
         members = tuple(raw)
@@ -277,7 +278,7 @@ def from_edge_list(
             if not (w > 0) or not np.isfinite(float(w)):
                 raise NonpositiveWeightError(f"edge {k}: weight {w} must be > 0")
         weights = tuple(map(float, weights))
-        wtup = weights or None  # no edges, no weights: one form, as .hg text has
+        wtup = weights or None  # no edges, no weights: one form
     return Hypergraph(n=n, edges=tuple(canon), weights=wtup)
 
 
@@ -286,69 +287,3 @@ def incidence_pairs(hg: Hypergraph) -> tuple:
     edge-major canonical order."""
     return hg.incidence.nodes, hg.incidence.edges
 
-
-# --- .hg text format -----------------------------------------------------
-#
-# line 1:        "n m"
-# next m lines:  space-separated node ids of one hyperedge, optionally
-#                followed by a trailing "w=<float>" weight token
-# "#" starts a comment line anywhere.
-
-
-def parse_hg(text: str) -> Hypergraph:
-    """Parse the ``.hg`` text format into a validated hypergraph."""
-    header = None
-    raw_edges: list = []
-    weights: list = []
-    saw_weight = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if header is None:
-            if len(tokens) != 2:
-                raise HgParseError(lineno, f"expected 'n m' header, got {stripped!r}")
-            try:
-                header = (int(tokens[0]), int(tokens[1]))
-            except ValueError:
-                raise HgParseError(lineno, f"non-integer header {stripped!r}") from None
-            continue
-        w = 1.0
-        if tokens[-1].startswith("w="):
-            try:
-                w = float(tokens[-1][2:])
-            except ValueError:
-                raise HgParseError(lineno, f"bad weight token {tokens[-1]!r}") from None
-            saw_weight = True
-            tokens = tokens[:-1]
-        try:
-            ids = [int(t) for t in tokens]
-        except ValueError:
-            raise HgParseError(lineno, f"non-integer node id in {stripped!r}") from None
-        if not ids:
-            raise HgParseError(lineno, "edge line with no node ids")
-        raw_edges.append(ids)
-        weights.append(w)
-    if header is None:
-        raise HgParseError(1, "missing 'n m' header")
-    n, m = header
-    if len(raw_edges) != m:
-        raise HgParseError(
-            1, f"header declares {m} edges but {len(raw_edges)} were given"
-        )
-    try:
-        return from_edge_list(n, raw_edges, weights if saw_weight else None)
-    except HypergraphError as exc:
-        raise HgParseError(1, str(exc)) from exc
-
-
-def format_hg(hg: Hypergraph) -> str:
-    """Serialize to the ``.hg`` text format (inverse of :func:`parse_hg`)."""
-    lines = [f"{hg.n} {hg.num_edges}"]
-    for e, members in enumerate(hg.edges):
-        line = " ".join(str(v) for v in members)
-        if hg.weights is not None:
-            line += f" w={hg.weights[e]!r}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"

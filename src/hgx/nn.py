@@ -22,15 +22,9 @@ class EmptyMaskError(ValueError):
     pass
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic generator: one 64-bit seed fixes the whole stream."""
-    return np.random.Generator(np.random.PCG64(int(seed)))
-
-
 ACTIVATIONS: Dict[str, Callable[[Tensor], Tensor]] = {
     "relu": ad.relu,
     "elu": ad.elu,
-    "leakyrelu": lambda t: ad.leaky_relu(t, 0.2),
     "identity": lambda t: t,
 }
 
@@ -38,12 +32,11 @@ ACTIVATIONS: Dict[str, Callable[[Tensor], Tensor]] = {
 @dataclass(frozen=True)
 class MlpSpec:
     """Row-wise multilayer perceptron: ``widths`` lists the input width
-    followed by each layer's output width; the activation is applied
-    after every layer except the last."""
+    followed by each layer's output width; every layer adds a bias, and
+    the activation is applied after every layer except the last."""
 
     widths: tuple
     activation: str = "relu"
-    bias: bool = True
 
     def __post_init__(self):
         if any(isinstance(w, bool) or not hasattr(w, "__index__") for w in self.widths):
@@ -78,8 +71,7 @@ def init_mlp_params(
     for i in range(len(spec.widths) - 1):
         fan_in, fan_out = spec.widths[i], spec.widths[i + 1]
         params[f"{prefix}.w{i}"] = ad.parameter(xavier_uniform(rng, fan_in, fan_out))
-        if spec.bias:
-            params[f"{prefix}.b{i}"] = ad.parameter(np.zeros((1, fan_out)))
+        params[f"{prefix}.b{i}"] = ad.parameter(np.zeros((1, fan_out)))
     return params
 
 
@@ -95,9 +87,7 @@ def mlp_forward(
     h = x
     last = len(spec.widths) - 2
     for i in range(len(spec.widths) - 1):
-        h = ad.matmul(h, params[f"{prefix}.w{i}"])
-        if spec.bias:
-            h = ad.add(h, params[f"{prefix}.b{i}"])
+        h = ad.add(ad.matmul(h, params[f"{prefix}.w{i}"]), params[f"{prefix}.b{i}"])
         if i != last:
             h = act(h)
     return h

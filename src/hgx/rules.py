@@ -95,24 +95,19 @@ def h_prop(hg: Hypergraph, x, d: int) -> Tensor:
     xt = node_tensor(hg, x)
     if not (xt.value > 0).all():
         raise NonPositiveInputError("h_prop requires strictly positive features")
-    return _root(z_prop(hg, xt, d), d - 1, hg.incidence.e2v.nonempty)
+    return _root(z_prop(hg, xt, d), d - 1)
 
 
-def _root(t: Tensor, p: float, nonempty: np.ndarray) -> Tensor:
-    """``t ** (1/p)``, rooted at 1 then zeroed in the rows where ``nonempty``
-    is 0 (isolated nodes), so the root's VJP stays finite there."""
-    shifted = ad.add(t, ad.constant(1.0 - nonempty))
-    return ad.mul(ad.power(shifted, 1.0 / p), ad.constant(nonempty))
+def _root(t: Tensor, p: float) -> Tensor:
+    """``t ** (1/p)`` of a nonnegative ``t``: each exact-0 entry (all of
+    an isolated node's row, say) is rooted at 1 then zeroed, so the root's
+    VJP stays finite there and its gradient is the 0 subgradient."""
+    nonzero = (t.value != 0).astype(np.float64)
+    shifted = ad.add(t, ad.constant(1.0 - nonzero))
+    return ad.mul(ad.power(shifted, 1.0 / p), ad.constant(nonzero))
 
 
 # --- trainable layers -------------------------------------------------------
-
-
-def _activation(name: str, allowed: tuple):
-    """The activation ``name``, which must be one of ``allowed``."""
-    if name not in allowed:
-        raise ValueError(f"unknown activation {name!r}; expected one of {allowed}")
-    return nn.ACTIVATIONS[name]
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:
@@ -166,10 +161,10 @@ def hcha_layer(
     x,
     params: Dict[str, Tensor],
     edge_feats: Optional[np.ndarray] = None,
-    activation: str = "elu",
 ) -> Tensor:
     """Attention-weighted co-member aggregation: an AllSet layer whose
-    two weighted sums share one weight ``alpha`` per incidence pair.
+    two weighted sums share one weight ``alpha`` per incidence pair,
+    followed by a linear map and ELU.
 
     Per-incidence attention compares a node's features with its
     hyperedge's features and normalizes across the edges incident to
@@ -177,7 +172,6 @@ def hcha_layer(
     ``init_hcha_params(..., f_edge=...)``, and one without the other
     raises.  Without both, the weights are the uniform 1/d_u and 1/d_v.
     """
-    act = _activation(activation, ("elu", "relu"))
     xt = node_tensor(hg, x)
     inc = hg.incidence
     pn, pe = inc.nodes, inc.edges
@@ -194,7 +188,7 @@ def hcha_layer(
             )
         pair_cat = ad.concat_cols([ad.gather_rows(xt, pn), ad.gather_rows(zt, pe)])
         att = params["hcha.att"]  # (1, f_in + f_edge)
-        scores = ad.leaky_relu(ad.row_sum(ad.mul(pair_cat, att)), 0.2)
+        scores = ad.leaky_relu(ad.row_sum(ad.mul(pair_cat, att)))
         alpha = ad.segment_softmax(scores, inc.e2v)
     else:
         alpha = ad.constant(inv_deg[pn].reshape(-1, 1))
@@ -204,7 +198,7 @@ def hcha_layer(
     layer = AllSetLayer(WeightedSumPool(alpha),
                         WeightedSumPool(ad.mul(alpha, edge_scale), inv_deg))
     agg = layer.forward(params, hg, xt, prefix="hcha")[1]
-    return ad.mul(act(_linear(params, "hcha", agg)), ad.constant(inc.e2v.nonempty))
+    return ad.mul(ad.elu(_linear(params, "hcha", agg)), ad.constant(inc.e2v.nonempty))
 
 
 def init_hnhn_params(rng, f_in: int, f_edge: int, f_out: int) -> Dict[str, Tensor]:
@@ -219,24 +213,17 @@ def hnhn_layer(
     params: Dict[str, Tensor],
     alpha: float = 0.0,
     beta: float = 0.0,
-    node_normalizer: str = "as_printed",
-    activation: str = "relu",
 ) -> tuple:
     """Two half-steps with degree-power reweighting: the two halves of an
-    AllSet layer with a linear map and activation after each.
+    AllSet layer with a linear map and ReLU after each.
 
     Edge step: hidden edge state from a d_u**beta weighted average of
     member features, normalized by the sum of those powers.  Node step:
     node state from an |e|**alpha weighted average of incident edge
-    states.  The printed form of the node-side normalizer sums the
-    node's own degree power over incident edges (``as_printed``); the
-    ``edge_size`` variant sums |e|**alpha instead.  Returns
+    states, normalized as printed: by the node's own degree power
+    d_v**alpha summed over its incident edges.  Returns
     ``(edge_state, node_state)``.
     """
-    act = _activation(activation, ("relu", "identity"))
-    if node_normalizer not in ("as_printed", "edge_size"):
-        raise ValueError(f"unknown node_normalizer {node_normalizer!r}; "
-                         "expected one of ('as_printed', 'edge_size')")
     inc = hg.incidence
     pn, pe = inc.nodes, inc.edges
     deg = inc.e2v.sizes
@@ -246,17 +233,14 @@ def hnhn_layer(
     if hg.num_edges and not (d_el > 0).all():
         raise ZeroNormalizerError("edge-side normalizer vanished")
     size_alpha = np.power(inc.v2e.sizes, alpha)
-    if node_normalizer == "as_printed":
-        pair_w = np.power(deg, alpha, where=deg > 0, out=np.zeros_like(deg))[pn]
-    else:
-        pair_w = size_alpha[pe]
+    pair_w = np.power(deg, alpha, where=deg > 0, out=np.zeros_like(deg))[pn]
     d_vl = np.bincount(pn, weights=pair_w, minlength=hg.n)
     layer = AllSetLayer(WeightedSumPool(deg_beta[pn], 1.0 / d_el),
                         WeightedSumPool(size_alpha[pe], _inverse(d_vl)))
     edge_avg = layer.v2e_forward(params, hg, x, prefix="hnhn")
-    z_out = act(_linear(params, "hnhn.edge", edge_avg))
+    z_out = ad.relu(_linear(params, "hnhn.edge", edge_avg))
     node_avg = layer.e2v_forward(params, hg, z_out, prefix="hnhn")
-    x_out = act(_linear(params, "hnhn.node", node_avg))
+    x_out = ad.relu(_linear(params, "hnhn.node", node_avg))
     return z_out, ad.mul(x_out, ad.constant(inc.e2v.nonempty))
 
 
@@ -354,15 +338,11 @@ def init_hypersage_params(rng, f_in: int, f_out: int) -> Dict[str, Tensor]:
     return init_linear_params(rng, f_in, f_out, "hypersage", bias=False)
 
 
-def hypersage_layer(
-    hg: Hypergraph, x, params: Dict[str, Tensor], p: int = 1,
-    activation: str = "relu",
-) -> Tensor:
+def hypersage_layer(hg: Hypergraph, x, params: Dict[str, Tensor], p: int = 1) -> Tensor:
     """Power-mean aggregation over edges then over a node's incident
     edges (an AllSet layer of two mean pools between the p-th power and
     the p-th root), a residual add, row normalization, and a linear map
-    plus activation."""
-    act = _activation(activation, ("relu", "identity"))
+    plus ReLU."""
     if p < 1:
         raise ValueError(f"power-mean order must be >= 1, got {p}")
     xt = node_tensor(hg, x)
@@ -371,10 +351,10 @@ def hypersage_layer(
     xp = xt if p == 1 else ad.power(xt, float(p))
     # z_e = edge_mean ** (1/p); z_e**p reappears at once, so no root between the means
     node_mean = _HYPERSAGE.forward({}, hg, xp, prefix="hypersage")[1]
-    pooled = node_mean if p == 1 else _root(node_mean, p, hg.incidence.e2v.nonempty)
+    pooled = node_mean if p == 1 else _root(node_mean, p)
     x_star = ad.add(pooled, xt)
     norm = ad.sqrt(ad.row_sum(ad.mul(x_star, x_star)))
     if (norm.value == 0).any():
         raise ZeroNormRowError("row with zero norm before normalization")
     normalized = ad.mul(x_star, ad.div(ad.constant(1.0), norm))
-    return act(ad.matmul(normalized, params["hypersage.theta"]))
+    return ad.relu(ad.matmul(normalized, params["hypersage.theta"]))

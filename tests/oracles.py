@@ -38,7 +38,6 @@ from hgx import autodiff as ad
 from hgx import rules
 from hgx.allset import AllSetLayer, ProductPool, SumPool
 from hgx.hypergraph import Hypergraph, NotUniformError, from_edge_list, segment_view
-from hgx.nn import make_rng
 
 
 class TooLargeError(ValueError):
@@ -441,7 +440,7 @@ def equivalence_suite(seed: int = 0, trials: int = 50) -> List[EquivalenceCase]:
     ]
     results = []
     for i, (name, fn, tol) in enumerate(cases):
-        rng = make_rng(seed + i)
+        rng = np.random.default_rng(seed + i)
         results.append(EquivalenceCase(name, float(fn(trials, rng)), tol))
     return results
 

@@ -91,14 +91,10 @@ class TestFixedPools:
 class TestLearnedPools:
     def test_deepsets_identity_equals_sum_bit_exact(self):
         hg = from_edge_list(5, [[0, 1, 4], [2, 3], [1, 2, 3]])
-        pool = DeepSetsPool(
-            MlpSpec((3, 3), activation="identity", bias=False),
-            MlpSpec((3, 3), activation="identity", bias=False),
-        )
-        params = {
-            "f.inner.w0": ad.parameter(np.eye(3)),
-            "f.outer.w0": ad.parameter(np.eye(3)),
-        }
+        identity = MlpSpec((3, 3), activation="identity")
+        pool = DeepSetsPool(identity, identity)
+        params = {f"f.{mlp}.{name}": ad.parameter(value) for mlp in ("inner", "outer")
+                  for name, value in (("w0", np.eye(3)), ("b0", np.zeros((1, 3))))}
         rng = np.random.default_rng(1)
         x = ad.constant(rng.normal(size=(5, 3)))
         got = pool.aggregate(params, x, hg.incidence.v2e, "f")
@@ -110,10 +106,10 @@ class TestLearnedPools:
     def test_deepsets_with_identity_mlps_is_sum_pool(self, case):
         hg, x = case
         f = x.shape[1]
-        identity = MlpSpec((f, f), activation="identity", bias=False)
+        identity = MlpSpec((f, f), activation="identity")
         pool = DeepSetsPool(identity, identity)
-        params = {"f.inner.w0": ad.parameter(np.eye(f)),
-                  "f.outer.w0": ad.parameter(np.eye(f))}
+        params = {f"f.{mlp}.{name}": ad.parameter(value) for mlp in ("inner", "outer")
+                  for name, value in (("w0", np.eye(f)), ("b0", np.zeros((1, f))))}
         edge_rows = np.resize(x, (hg.num_edges, f))  # x's rows, repeated as needed
         for view, rows in ((hg.incidence.v2e, x), (hg.incidence.e2v, edge_rows)):
             rows = ad.constant(rows)
@@ -124,20 +120,12 @@ class TestLearnedPools:
     def test_singleton_attention_weight_is_one(self):
         # |S| = 1: softmax over one logit is exactly 1, so the attended
         # row equals that element's value row
-        rng = nn.make_rng(2)
+        rng = np.random.default_rng(2)
         pool = SetTransformerPool(heads=2, head_dim=3)
         params = pool.init_params(rng, 4, "f")
         row = rng.normal(size=(1, 4))
-
-        v_rows = [
-            nn.mlp_forward(MlpSpec((4, 3), bias=False), params, ad.constant(row),
-                           f"f.value{i}").value
-            for i in range(2)
-        ]
-        # reproduce the attended output before the residual/norm stages
-        pn = np.array([0])
         pe = np.array([0])
-        k0 = nn.mlp_forward(MlpSpec((4, 3), bias=False), params, ad.constant(row), "f.key0")
+        k0 = ad.matmul(ad.constant(row), params["f.key0.w0"])
         logits = ad.row_sum(ad.mul(k0, ad.slice_cols(params["f.seed"], 0, 3)))
         w = ad.segment_softmax(logits, segment_view(np.arange(1), pe, 1, 1))
         np.testing.assert_allclose(w.value, [[1.0]], atol=1e-15)
@@ -146,13 +134,13 @@ class TestLearnedPools:
         assert np.isfinite(out.value).all()
 
     def test_attention_weights_sum_to_one_per_segment(self):
-        rng = nn.make_rng(3)
+        rng = np.random.default_rng(3)
         hg = random_hypergraph(rng, n_max=8)
         pool = SetTransformerPool(heads=1, head_dim=4)
         params = pool.init_params(rng, 3, "f")
         x = ad.constant(rng.normal(size=(hg.n, 3)))
         pn, pe = hg.incidence.nodes, hg.incidence.edges
-        k = nn.mlp_forward(MlpSpec((3, 4), bias=False), params, x, "f.key0")
+        k = ad.matmul(x, params["f.key0.w0"])
         logits = ad.row_sum(ad.mul(ad.gather_rows(k, pn), ad.slice_cols(params["f.seed"], 0, 4)))
         by_edge = segment_view(np.arange(len(pe)), pe, hg.num_edges, len(pe))
         w = ad.segment_softmax(logits, by_edge).value
@@ -169,7 +157,7 @@ class TestLearnedPools:
             SetTransformerPool(heads=heads, head_dim=head_dim)
 
     def test_deepsets_gradcheck(self):
-        rng = nn.make_rng(5)
+        rng = np.random.default_rng(5)
         pool = DeepSetsPool(MlpSpec((2, 4, 3)), MlpSpec((3, 3, 2)))
         params = pool.init_params(rng, 2, "f")
         rows = rng.normal(size=(5, 2)) + 0.2
@@ -181,7 +169,7 @@ class TestLearnedPools:
         assert nn.grad_check(build, params).max_rel_err < 1e-4
 
     def test_settransformer_gradcheck(self):
-        rng = nn.make_rng(6)
+        rng = np.random.default_rng(6)
         pool = SetTransformerPool(heads=2, head_dim=2)
         params = pool.init_params(rng, 3, "f")
         rows = rng.normal(size=(4, 3))
@@ -211,7 +199,7 @@ class TestPermutationInvariance:
     @given(case=hypergraphs_with_features(low=0.5), seed=st.integers(0, 2**32 - 1))
     def test_pair_order_invariance(self, make_pool, case, seed):
         hg, x = case
-        rng = nn.make_rng(seed)
+        rng = np.random.default_rng(seed)
         pool = make_pool(x.shape[1])
         params = pool.init_params(rng, x.shape[1], "f")
         xt = ad.constant(x)
@@ -223,7 +211,7 @@ class TestPermutationInvariance:
         assert np.abs(base - shuffled).max(initial=0.0) / denom < 1e-9
 
     def test_node_relabeling_equivariance(self):
-        rng = nn.make_rng(8)
+        rng = np.random.default_rng(8)
         for _ in range(10):
             hg = random_hypergraph(rng, n_max=8)
             perm = rng.permutation(hg.n)
@@ -235,7 +223,7 @@ class TestPermutationInvariance:
                 num_classes=2,
                 layers=[AllSetLayer(SetTransformerPool(1, 4), SetTransformerPool(1, 4))],
             )
-            params = net.init_params(nn.make_rng(99))
+            params = net.init_params(np.random.default_rng(99))
             x = rng.normal(size=(hg.n, 3))
             x_perm = np.empty_like(x)
             x_perm[perm] = x
@@ -313,7 +301,7 @@ class TestPerAggregatorVariant:
         layer = AllSetLayer(learned_pool("deepsets", 2), learned_pool("settransformer", 3),
                             variant="per_aggregator")
         assert layer.widths(2) == (0, 4)
-        params, out_dim = layer.init_params(nn.make_rng(0), 2)
+        params, out_dim = layer.init_params(np.random.default_rng(0), 2)
         assert out_dim == 4 and "layer.e2v.key0.w0" in params
         assert params["layer.e2v.key0.w0"].shape == (3, 2)
 
@@ -347,7 +335,7 @@ class TestPerAggregatorVariant:
         v2e = learned_pool(kinds[0], x.shape[1])
         e2v = learned_pool(kinds[1], v2e.out_dim(x.shape[1]))
         layer = AllSetLayer(v2e, e2v, variant="per_aggregator")
-        rng = nn.make_rng(int(x.shape[0]))
+        rng = np.random.default_rng(int(x.shape[0]))
         params, out_dim = layer.init_params(rng, x.shape[1])
         params["x"] = ad.parameter(x)
         c = ad.constant(rng.normal(size=(hg.n, out_dim)))
@@ -385,13 +373,13 @@ class TestPerAggregatorVariant:
         ]
         assert layers[0].widths(2) == (0, 2)
         net = AllSetNetwork(in_dim=2, num_classes=3, layers=layers)
-        params = net.init_params(nn.make_rng(4))
+        params = net.init_params(np.random.default_rng(4))
         assert net.forward(params, hg, x).shape == (5, 3)
 
 
 class TestNetwork:
     def test_all_sum_network_reproduces_iterated_sums(self):
-        rng = nn.make_rng(9)
+        rng = np.random.default_rng(9)
         for k in (1, 2, 3):
             hg = random_hypergraph(rng, n_max=8)
             x = rng.normal(size=(hg.n, 3))
@@ -410,7 +398,7 @@ class TestNetwork:
             np.testing.assert_allclose(got, expected, atol=1e-9)
 
     def test_logits_shape(self):
-        rng = nn.make_rng(10)
+        rng = np.random.default_rng(10)
         hg = random_hypergraph(rng)
         net = AllSetNetwork(
             in_dim=4,
@@ -444,7 +432,7 @@ class TestNetwork:
         ids=["sum", "deepsets"],
     )
     def test_two_layer_second_argument_network(self, make_e2v):
-        rng = nn.make_rng(11)
+        rng = np.random.default_rng(11)
         hg = from_edge_list(5, [[0, 1, 2], [1, 3], [2, 3, 4]])
         layers = [
             AllSetLayer(SumPool(), make_e2v(i), use_second_argument=True)
@@ -473,7 +461,7 @@ class TestNetwork:
             in_dim=1, num_classes=2,
             layers=[AllSetLayer(SumPool(), SumPool(), use_second_argument=True)],
         )
-        params = net.init_params(nn.make_rng(12))
+        params = net.init_params(np.random.default_rng(12))
         with pytest.raises(ad.ShapeMismatchError):
             net.forward(params, hg, np.ones((3, 1)), z0=np.ones((2, 1)))
 
@@ -482,7 +470,7 @@ class TestNetwork:
         with pytest.raises(ValueError):
             AllSetNetwork(2, 2, [AllSetLayer(SumPool(), SumPool())], dropout=rate)
         with pytest.raises(ValueError):
-            ad.dropout(ad.constant(np.ones((2, 2))), rate, nn.make_rng(0))
+            ad.dropout(ad.constant(np.ones((2, 2))), rate, np.random.default_rng(0))
 
     def test_training_dropout_without_rng_rejected(self):
         hg = from_edge_list(3, [[0, 1], [1, 2]])
@@ -490,12 +478,12 @@ class TestNetwork:
             in_dim=2, num_classes=2, layers=[AllSetLayer(SumPool(), SumPool())],
             dropout=0.5,
         )
-        params = net.init_params(nn.make_rng(13))
+        params = net.init_params(np.random.default_rng(13))
         with pytest.raises(ValueError):
             net.forward(params, hg, np.ones((3, 2)), training=True)
 
     def test_training_forward_with_dropout(self):
-        rng = nn.make_rng(14)
+        rng = np.random.default_rng(14)
         hg = random_hypergraph(rng, n_max=8)
         net = AllSetNetwork(
             in_dim=3, num_classes=2, layers=[AllSetLayer(SumPool(), SumPool())],
@@ -503,10 +491,10 @@ class TestNetwork:
         )
         params = net.init_params(rng)
         x = rng.normal(size=(hg.n, 3))
-        evaluated = net.forward(params, hg, x, rng=nn.make_rng(15)).value
+        evaluated = net.forward(params, hg, x, rng=np.random.default_rng(15)).value
         np.testing.assert_array_equal(net.forward(params, hg, x).value, evaluated)
-        trained = net.forward(params, hg, x, rng=nn.make_rng(15), training=True)
-        again = net.forward(params, hg, x, rng=nn.make_rng(15), training=True)
+        trained = net.forward(params, hg, x, rng=np.random.default_rng(15), training=True)
+        again = net.forward(params, hg, x, rng=np.random.default_rng(15), training=True)
         np.testing.assert_array_equal(trained.value, again.value)
         assert not np.array_equal(trained.value, evaluated)
         ad.sum_all(trained).backward()
@@ -582,7 +570,7 @@ class TestViewsSortOnce:
     @pytest.mark.parametrize("layer", ["settransformer", "hcha"])
     def test_no_sort_after_warm_up(self, monkeypatch, layer):
         # each view sorts its pairs on first use; later passes read the sort
-        rng = nn.make_rng(11)
+        rng = np.random.default_rng(11)
         hg = from_edge_list(6, [[0, 1, 2], [2, 3], [3, 4, 5], [1, 5], [4]])
         x = ad.constant(rng.normal(size=(hg.n, 3)))
         if layer == "settransformer":

@@ -6,16 +6,13 @@ from hypothesis import strategies as st
 from hgx import hypergraph as hgm
 from hgx.hypergraph import (
     EmptyEdgeError,
-    HgParseError,
     HypergraphError,
     NodeIdOutOfRangeError,
     NodeIdTypeError,
     NonpositiveWeightError,
     NotUniformError,
-    format_hg,
     from_edge_list,
     incidence_pairs,
-    parse_hg,
 )
 from oracles import (
     TooLargeError,
@@ -108,6 +105,18 @@ class TestConstruction:
         hg = from_edge_list(2, [[0, 1], [0, 1]])
         assert hg.num_edges == 2
         assert clique_expansion_incidence(hg)[0, 1] == 2.0
+
+    def test_edgeless_hypergraph_has_no_weights(self):
+        hg = from_edge_list(3, [], weights=[])
+        assert hg.weights is None
+        assert hg == from_edge_list(3, [])
+
+    def test_shuffled_input_canonicalizes_identically(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            hg = random_hypergraph(rng)
+            shuffled = [list(rng.permutation(list(e))) for e in hg.edges]
+            assert from_edge_list(hg.n, shuffled).edges == hg.edges
 
 
 def loop_incidence_pairs(hg):
@@ -213,6 +222,13 @@ class TestIncidence:
         # numpy makes an int64 array of such a list, reading the bool as id 1
         with pytest.raises(HypergraphError, match="must be integers"):
             hgm.segment_view(src, seg, 1, 2)
+
+    @pytest.mark.parametrize("bad", [2.7, True, -1, "3"])
+    @pytest.mark.parametrize("which", ["count", "src_count"])
+    def test_segment_view_rejects_counts_that_are_not_nonnegative_ints(self, which, bad):
+        counts = {"count": 3, "src_count": 3, which: bad}
+        with pytest.raises(HypergraphError, match=f"^{which} must be"):
+            hgm.segment_view([0, 1], [0, 1], counts["count"], counts["src_count"])
 
     def test_id_array_returns_int64_ids_without_copying_an_int64_array(self):
         ids = np.array([2, 0, 2])
@@ -427,49 +443,3 @@ class TestAdjacencyTensor:
                     marg, clique_expansion_adjacency(hg), atol=1e-12
                 )
 
-
-class TestHgFormat:
-    def test_round_trip(self):
-        hg = from_edge_list(5, [[0, 1, 4], [2], [1, 3]], weights=[1.0, 0.5, 2.25])
-        again = parse_hg(format_hg(hg))
-        assert again == hg
-
-    def test_round_trip_unweighted(self):
-        hg = from_edge_list(4, [[0, 3], [1, 2, 3]])
-        assert parse_hg(format_hg(hg)) == hg
-
-    def test_edgeless_hypergraph_has_no_weights(self):
-        # an empty weight list cannot be written as .hg text
-        hg = from_edge_list(3, [], weights=[])
-        assert hg.weights is None
-        assert parse_hg(format_hg(hg)) == hg
-
-    @settings(max_examples=200, deadline=None)
-    @given(hypergraphs())
-    def test_format_then_parse_round_trips(self, hg):
-        text = format_hg(hg)
-        again = parse_hg(text)
-        assert again == hg
-        assert format_hg(again) == text
-
-    def test_comments_and_blanks(self):
-        text = "# a comment\n3 2\n\n0 1\n# another\n1 2 w=1.5\n"
-        hg = parse_hg(text)
-        assert hg.n == 3 and hg.edges == ((0, 1), (1, 2))
-        assert hg.weights == (1.0, 1.5)
-
-    def test_header_mismatch(self):
-        with pytest.raises(HgParseError):
-            parse_hg("2 3\n0 1\n")
-
-    def test_bad_tokens(self):
-        with pytest.raises(HgParseError) as exc:
-            parse_hg("2 1\n0 x\n")
-        assert exc.value.line == 2
-
-    def test_shuffled_input_canonicalizes_identically(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            hg = random_hypergraph(rng)
-            shuffled = [list(rng.permutation(list(e))) for e in hg.edges]
-            assert from_edge_list(hg.n, shuffled).edges == hg.edges

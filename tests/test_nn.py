@@ -8,18 +8,6 @@ from hgx.nn import EmptyMaskError, MlpSpec, cross_entropy_loss, grad_check, laye
 from hgx.optim import AdamState
 
 
-class TestRng:
-    def test_same_seed_same_stream(self):
-        a = nn.make_rng(123).normal(size=10)
-        b = nn.make_rng(123).normal(size=10)
-        np.testing.assert_array_equal(a, b)
-
-    def test_different_seed_differs(self):
-        assert not np.array_equal(
-            nn.make_rng(1).normal(size=10), nn.make_rng(2).normal(size=10)
-        )
-
-
 class TestMlp:
     def test_identity_single_layer(self):
         spec = MlpSpec((3, 3), activation="identity")
@@ -29,7 +17,7 @@ class TestMlp:
         np.testing.assert_array_equal(out.value, x)
 
     def test_row_permutation_equivariance_bit_exact(self):
-        rng = nn.make_rng(5)
+        rng = np.random.default_rng(5)
         spec = MlpSpec((4, 8, 3))
         params = nn.init_mlp_params(spec, rng, "m")
         x = rng.normal(size=(6, 4))
@@ -40,12 +28,12 @@ class TestMlp:
 
     def test_width_mismatch(self):
         spec = MlpSpec((4, 2))
-        params = nn.init_mlp_params(spec, nn.make_rng(0), "m")
+        params = nn.init_mlp_params(spec, np.random.default_rng(0), "m")
         with pytest.raises(ad.ShapeMismatchError):
             nn.mlp_forward(spec, params, Tensor(np.ones((3, 5))), "m")
 
     def test_two_layer_relu_gradcheck(self):
-        rng = nn.make_rng(7)
+        rng = np.random.default_rng(7)
         spec = MlpSpec((3, 5, 2))
         params = nn.init_mlp_params(spec, rng, "m")
         x = rng.normal(size=(4, 3)) + 0.3  # keep preactivations off relu kinks
@@ -91,7 +79,7 @@ class TestLayerNorm:
         np.testing.assert_allclose(out.value, [[-1.0, 1.0]], atol=1e-4)
 
     def test_gradcheck(self):
-        rng = nn.make_rng(9)
+        rng = np.random.default_rng(9)
         x = ad.parameter(rng.normal(size=(3, 5)))
         gain = ad.parameter(rng.uniform(0.5, 1.5, size=(1, 5)))
         bias = ad.parameter(rng.normal(size=(1, 5)))
@@ -158,7 +146,7 @@ class TestCrossEntropy:
         np.testing.assert_allclose(loss.value.item(), np.log(2.0), atol=1e-12)
 
     def test_gradcheck(self):
-        rng = nn.make_rng(21)
+        rng = np.random.default_rng(21)
         logits = ad.parameter(rng.normal(size=(5, 4)))
         labels = np.array([0, 3, 1, 2, 2])
         mask = np.array([0, 2, 4])

@@ -9,6 +9,7 @@ import hgx.autodiff
 import hgx.rules
 
 MODULES = sorted(Path(hgx.autodiff.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -30,10 +31,10 @@ def test_unused_imports_are_found():
     source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
               "from typing import Dict, Union\nx: Dict = np.zeros(1)\n")
     assert unused_imports(source) == [(2, "os"), (4, "Union")]
-    assert MODULES
+    assert MODULES and TESTS
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
