@@ -281,14 +281,14 @@ class AllSetLayer:
     def init_params(
         self, rng: np.random.Generator, in_dim: int, z_prev_dim: int = 0,
         prefix: str = "layer",
-    ) -> tuple:
-        """Returns (params, out_dim), with widths from :meth:`widths`."""
-        z_dim, out_dim = self.widths(in_dim, z_prev_dim)
+    ) -> Dict[str, Tensor]:
+        """Both pools' parameters, at the widths :meth:`widths` gives."""
+        z_dim = self.widths(in_dim, z_prev_dim)[0]
         if self.variant == "per_aggregator":
             z_dim = self.v2e.out_dim(in_dim)  # pair states, which forward drops
         params = self.v2e.init_params(rng, in_dim, f"{prefix}.v2e")
         params.update(self.e2v.init_params(rng, z_dim, f"{prefix}.e2v"))
-        return params, out_dim
+        return params
 
     def v2e_forward(
         self,
@@ -368,7 +368,7 @@ class AllSetNetwork:
         self.input_proj = input_proj
         self.dropout = float(dropout)
         ad.check_dropout_rate(self.dropout)
-        # forward starts without a previous edge state (z0 is None)
+        # forward starts without a previous edge state
         dim, z_dim = (in_dim if input_proj is None else input_proj.out_dim), 0
         self._layer_dims = []
         for layer in self.layers:
@@ -381,10 +381,7 @@ class AllSetNetwork:
         if self.input_proj is not None:
             params.update(nn.init_mlp_params(self.input_proj, rng, "proj"))
         for li, layer in enumerate(self.layers):
-            layer_params, _ = layer.init_params(
-                rng, *self._layer_dims[li], prefix=f"layer{li}"
-            )
-            params.update(layer_params)
+            params.update(layer.init_params(rng, *self._layer_dims[li], prefix=f"layer{li}"))
         params.update(nn.init_mlp_params(self.head, rng, "head"))
         return params
 
@@ -393,21 +390,14 @@ class AllSetNetwork:
         params: Dict[str, Tensor],
         hg: Hypergraph,
         x,
-        z0=None,
         rng: Optional[np.random.Generator] = None,
         training: bool = False,
     ) -> Tensor:
-        """Logits with one row per node and one column per class.  The
-        layer widths are fixed without an initial edge state, so a ``z0``
-        that the first layer would concatenate is rejected."""
+        """Logits with one row per node and one column per class."""
         h = ad.wrap(x)
         if h.shape[1] != self.in_dim:
             raise ad.ShapeMismatchError(
                 f"network expects {self.in_dim} feature columns, got {h.shape[1]}"
-            )
-        if z0 is not None and self.layers[0].use_second_argument:
-            raise ad.ShapeMismatchError(
-                "the network's widths assume no initial edge state, got z0"
             )
         drop = self.dropout if training else 0.0
         if drop > 0 and rng is None:
@@ -416,7 +406,7 @@ class AllSetNetwork:
             h = nn.mlp_forward(self.input_proj, params, h, "proj")
             if drop > 0:
                 h = ad.dropout(h, drop, rng)
-        z = z0
+        z = None
         for li, layer in enumerate(self.layers):
             z, h = layer.forward(params, hg, h, z_prev=z, prefix=f"layer{li}")
             if drop > 0:

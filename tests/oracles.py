@@ -97,11 +97,28 @@ def z_prop(hg: Hypergraph, x: np.ndarray, d: int) -> np.ndarray:
     return pair_propagate(hg, x, lambda rows: (d - 1) * rows.prod(axis=0))
 
 
+def worst_row(rows):
+    """The row of ``nn.grad_check`` with the largest ``err``."""
+    return max(rows, key=lambda r: r["err"])
+
+
 def one_multiset(pool, params, rows, prefix="f"):
     """``pool`` on the one multiset of ``rows``, through a one-segment view."""
     rows = ad.wrap(rows)
     n = rows.shape[0]
     return pool.aggregate(params, rows, segment_view(np.arange(n), np.zeros(n, np.int64), 1, n), prefix)
+
+
+def random_hypergraph(rng, n_max=12, m_max=8, uniform=None):
+    """2 to ``n_max`` nodes (at least ``uniform``) and 1 to ``m_max``
+    edges, each of ``uniform`` distinct members or of 1 to min(n, 5)."""
+    n = int(rng.integers(max(uniform or 0, 2), n_max + 1))
+    m = int(rng.integers(1, m_max + 1))
+    edges = []
+    for _ in range(m):
+        size = uniform or int(rng.integers(1, min(n, 5) + 1))
+        edges.append(rng.choice(n, size=size, replace=False).tolist())
+    return from_edge_list(n, edges)
 
 
 @st.composite
@@ -270,22 +287,11 @@ class EquivalenceCase:
         return self.max_deviation < self.tolerance
 
 
-def _random_hypergraph(rng, n_max=12, uniform=None, min_size=1, max_size=5):
-    n_min = max(uniform or 0, 2)
-    n = int(rng.integers(n_min, n_max + 1))
-    m = int(rng.integers(1, 9))
-    edges = []
-    for _ in range(m):
-        size = uniform or int(rng.integers(min_size, min(n, max_size) + 1))
-        edges.append(rng.choice(n, size=size, replace=False).tolist())
-    return from_edge_list(n, edges)
-
-
 def _sum_sum_shared(trials: int, rng) -> float:
     layer = AllSetLayer(SumPool(), SumPool())
     worst = 0.0
     for _ in range(trials):
-        hg = _random_hypergraph(rng)
+        hg = random_hypergraph(rng)
         x = rng.normal(size=(hg.n, 3))
         _, out = layer.forward({}, hg, x)
         worst = max(worst, np.abs(out.value - ce_prop_h(hg, x)).max())
@@ -296,7 +302,7 @@ def _sum_sum_per_pair(trials: int, rng) -> float:
     layer = AllSetLayer(SumPool(), SumPool(), variant="per_aggregator")
     worst = 0.0
     for _ in range(trials):
-        hg = _random_hypergraph(rng)
+        hg = random_hypergraph(rng)
         x = rng.normal(size=(hg.n, 3))
         _, out = layer.forward({}, hg, x)
         worst = max(worst, np.abs(out.value - ce_prop_a(hg, x)).max())
@@ -308,7 +314,7 @@ def _product_per_pair(trials: int, rng) -> float:
     worst = 0.0
     for _ in range(trials):
         d = int(rng.integers(3, 5))
-        hg = _random_hypergraph(rng, uniform=d)
+        hg = random_hypergraph(rng, uniform=d)
         x = rng.uniform(0.5, 1.5, size=(hg.n, 2))
         _, out = layer.forward({}, hg, x)
         worst = max(worst, np.abs((d - 1) * out.value - z_prop(hg, x, d)).max())
@@ -336,7 +342,7 @@ def _hgnn_construction(hg: Hypergraph, x, theta, bias):
 def _hgnn_case(trials: int, rng) -> float:
     worst = 0.0
     for _ in range(trials):
-        hg = _random_hypergraph(rng)
+        hg = random_hypergraph(rng)
         x = rng.normal(size=(hg.n, 3))
         theta = rng.normal(size=(3, 2))
         bias = rng.normal(size=(1, 2))
@@ -372,7 +378,7 @@ def _hnhn_construction(hg, x, theta_e, bias_e, theta_v, bias_v, alpha, beta):
 def _hnhn_case(trials: int, rng) -> float:
     worst = 0.0
     for _ in range(trials):
-        hg = _random_hypergraph(rng)
+        hg = random_hypergraph(rng)
         x = rng.normal(size=(hg.n, 3))
         alpha = float(rng.uniform(-1.0, 1.0))
         beta = float(rng.uniform(-1.0, 1.0))
@@ -416,7 +422,7 @@ def hypersage_layer(hg: Hypergraph, x: np.ndarray, theta: np.ndarray, p: int) ->
 def _hypersage_case(trials: int, rng) -> float:
     worst = 0.0
     for _ in range(trials):
-        hg = _random_hypergraph(rng)
+        hg = random_hypergraph(rng)
         p = int(rng.integers(1, 4))
         x = rng.uniform(0.2, 1.5, size=(hg.n, 3))
         theta = rng.normal(size=(3, 2))

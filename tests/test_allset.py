@@ -22,18 +22,7 @@ from hgx.allset import (
 )
 from hgx.hypergraph import from_edge_list, segment_view
 from hgx.nn import MlpSpec
-from oracles import hypergraphs_with_features
-
-
-def random_hypergraph(rng, n_max=12, m_max=8, uniform=None):
-    n_min = max(uniform or 0, 2)
-    n = int(rng.integers(n_min, n_max + 1))
-    m = int(rng.integers(1, m_max + 1))
-    edges = []
-    for _ in range(m):
-        size = uniform or int(rng.integers(1, min(n, 5) + 1))
-        edges.append(rng.choice(n, size=size, replace=False).tolist())
-    return from_edge_list(n, edges)
+from oracles import hypergraphs_with_features, random_hypergraph, worst_row
 
 
 def aggregate_with_pair_order(pool, params, src, view, order, prefix="f"):
@@ -166,7 +155,7 @@ class TestLearnedPools:
         def build():
             return ad.sum_all(ad.mul(oracles.one_multiset(pool, params, rows), ad.constant(c)))
 
-        assert nn.grad_check(build, params).max_rel_err < 1e-4
+        assert worst_row(nn.grad_check(build, params))["err"] < 1e-4
 
     def test_settransformer_gradcheck(self):
         rng = np.random.default_rng(6)
@@ -180,7 +169,7 @@ class TestLearnedPools:
                 ad.mul(oracles.one_multiset(pool, params, rows, "f"), ad.constant(c))
             )
 
-        assert nn.grad_check(build, params).max_rel_err < 1e-4
+        assert worst_row(nn.grad_check(build, params))["err"] < 1e-4
 
 
 class TestPermutationInvariance:
@@ -252,7 +241,8 @@ LOOP_POOLS = {
 
 def learned_pool(kind, in_dim):
     # elu, not relu: an empty multiset's zero row meets zero-initialized
-    # biases exactly at relu's kink, where finite differences disagree
+    # biases exactly at relu's kink, and where several pair states sit at
+    # kinks at once, no one difference matches the analytic gradient
     if kind == "deepsets":
         return DeepSetsPool(MlpSpec((in_dim, 4, 3), activation="elu"), MlpSpec((3, 3)))
     return SetTransformerPool(heads=2, head_dim=2)
@@ -301,8 +291,8 @@ class TestPerAggregatorVariant:
         layer = AllSetLayer(learned_pool("deepsets", 2), learned_pool("settransformer", 3),
                             variant="per_aggregator")
         assert layer.widths(2) == (0, 4)
-        params, out_dim = layer.init_params(np.random.default_rng(0), 2)
-        assert out_dim == 4 and "layer.e2v.key0.w0" in params
+        params = layer.init_params(np.random.default_rng(0), 2)
+        assert "layer.e2v.key0.w0" in params
         assert params["layer.e2v.key0.w0"].shape == (3, 2)
 
     @pytest.mark.parametrize("v2e", [SumPool, MeanPool, ProductPool])
@@ -336,16 +326,15 @@ class TestPerAggregatorVariant:
         e2v = learned_pool(kinds[1], v2e.out_dim(x.shape[1]))
         layer = AllSetLayer(v2e, e2v, variant="per_aggregator")
         rng = np.random.default_rng(int(x.shape[0]))
-        params, out_dim = layer.init_params(rng, x.shape[1])
+        params = layer.init_params(rng, x.shape[1])
         params["x"] = ad.parameter(x)
-        c = ad.constant(rng.normal(size=(hg.n, out_dim)))
+        c = ad.constant(rng.normal(size=(hg.n, layer.widths(x.shape[1])[1])))
 
         def build():
             out = layer.forward(params, hg, params["x"])[1]
             return ad.sum_all(ad.mul(out, c))
 
-        report = nn.grad_check(build, params)
-        assert report.max_rel_err < 1e-4, str(report)
+        assert worst_row(nn.grad_check(build, params))["err"] < 1e-4
         if max(map(len, hg.edges), default=0) > 1:
             assert np.abs(params["x"].grad).max() > 0
 
@@ -357,7 +346,7 @@ class TestPerAggregatorVariant:
         v2e = learned_pool("deepsets", x.shape[1])
         layer = AllSetLayer(v2e, learned_pool("settransformer", 3),
                             variant="per_aggregator")
-        params, _ = layer.init_params(rng, x.shape[1])
+        params = layer.init_params(rng, x.shape[1])
         perm = rng.permutation(hg.n)
         base = layer.forward(params, hg, x)[1].value
         permuted = layer.forward(params, *relabel(hg, x, perm))[1].value
@@ -447,23 +436,13 @@ class TestNetwork:
         def build():
             return ad.sum_all(ad.mul(net.forward(params, hg, x), ad.constant(c)))
 
-        assert nn.grad_check(build, params).max_rel_err < 1e-4
+        assert worst_row(nn.grad_check(build, params))["err"] < 1e-4
 
     def test_previous_edge_state_needs_one_row_per_edge(self):
         hg = from_edge_list(3, [[0, 1], [1, 2]])
         layer = AllSetLayer(SumPool(), SumPool(), use_second_argument=True)
         with pytest.raises(ad.ShapeMismatchError):
             layer.v2e_forward({}, hg, np.ones((3, 1)), z_prev=np.ones((3, 1)))
-
-    def test_unaccounted_initial_edge_state_rejected(self):
-        hg = from_edge_list(3, [[0, 1], [1, 2]])
-        net = AllSetNetwork(
-            in_dim=1, num_classes=2,
-            layers=[AllSetLayer(SumPool(), SumPool(), use_second_argument=True)],
-        )
-        params = net.init_params(np.random.default_rng(12))
-        with pytest.raises(ad.ShapeMismatchError):
-            net.forward(params, hg, np.ones((3, 1)), z0=np.ones((2, 1)))
 
     @pytest.mark.parametrize("rate", [1.0, 1.5, -0.5, float("nan")])
     def test_dropout_rate_outside_unit_interval_rejected(self, rate):
@@ -575,7 +554,7 @@ class TestViewsSortOnce:
         x = ad.constant(rng.normal(size=(hg.n, 3)))
         if layer == "settransformer":
             pools = AllSetLayer(SetTransformerPool(2, 2), SetTransformerPool(2, 2))
-            params, _ = pools.init_params(rng, 3)
+            params = pools.init_params(rng, 3)
             build = lambda: pools.forward(params, hg, x)[1]  # noqa: E731
         else:
             params = rules.init_hcha_params(rng, 3, 2, f_edge=2)

@@ -1,0 +1,65 @@
+"""Input-boundary errors that no other test reaches: each bad input
+raises its own typed error, with a message that names the mismatch."""
+
+import numpy as np
+import pytest
+
+from hgx import autodiff as ad
+from hgx import rules
+from hgx.allset import AllSetLayer, AllSetNetwork, DeepSetsPool, SumPool
+from hgx.hypergraph import HypergraphError, from_edge_list
+from hgx.nn import MlpSpec
+
+PATH = from_edge_list(3, [[0, 1], [1, 2]])  # 3 nodes, 2 edges
+
+
+def network_forward(x):
+    net = AllSetNetwork(2, 2, [AllSetLayer(SumPool(), SumPool())])
+    return net.forward(net.init_params(np.random.default_rng(0)), PATH, x)
+
+
+def hcha_with_edge_rows(rows):
+    params = rules.init_hcha_params(np.random.default_rng(0), 2, 2, f_edge=2)
+    return rules.hcha_layer(PATH, np.ones((3, 2)), params, edge_feats=np.ones((rows, 2)))
+
+
+def hypersage(x, p=1):
+    params = rules.init_hypersage_params(np.random.default_rng(0), 2, 2)
+    return rules.hypersage_layer(PATH, x, params, p=p)
+
+
+BAD_INPUTS = {
+    "3-d array": (lambda: ad.Tensor(np.ones((2, 2, 2))),
+                  ad.ShapeMismatchError, "at most 2 dimensions, got 3"),
+    "column slice out of range": (lambda: ad.slice_cols(ad.Tensor(np.ones((2, 3))), 1, 4),
+                                  ad.ShapeMismatchError, r"slice \[1:4\] out of range"),
+    "deep sets widths": (lambda: DeepSetsPool(MlpSpec((2, 3)), MlpSpec((4, 2))),
+                         ValueError, "inner output width 3 != outer input width 4"),
+    "deep sets input width": (
+        lambda: DeepSetsPool(MlpSpec((2, 3)), MlpSpec((3, 2))).init_params(
+            np.random.default_rng(0), 5, "f"),
+        ValueError, "pool expects 2 columns, got 5"),
+    "layer variant": (lambda: AllSetLayer(SumPool(), SumPool(), variant="pairs"),
+                      ValueError, "unknown variant 'pairs'"),
+    "edge state rows": (
+        lambda: AllSetLayer(SumPool(), SumPool()).e2v_forward({}, PATH, np.ones((3, 1))),
+        ad.ShapeMismatchError, "states have 3 rows, the shared variant reads 2"),
+    "network feature width": (lambda: network_forward(np.ones((3, 3))),
+                              ad.ShapeMismatchError, "expects 2 feature columns, got 3"),
+    "hcha edge feature rows": (lambda: hcha_with_edge_rows(3),
+                               ad.ShapeMismatchError, "edge features have 3 rows for 2 edges"),
+    "hypersage order": (lambda: hypersage(np.ones((3, 2)), p=0),
+                        ValueError, "order must be >= 1, got 0"),
+    "hypersage zero row": (lambda: hypersage(np.zeros((3, 2))),
+                           rules.ZeroNormRowError, "zero norm"),
+    "edge weight count": (lambda: from_edge_list(3, [[0, 1], [1, 2]], weights=[1.0]),
+                          HypergraphError, "1 weights for 2 edges"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_raises_its_typed_error(case):
+    call, error, match = BAD_INPUTS[case]
+    with pytest.raises(error, match=match) as raised:
+        call()
+    assert type(raised.value) is error

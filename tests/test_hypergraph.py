@@ -20,18 +20,8 @@ from oracles import (
     clique_expansion_adjacency,
     clique_expansion_incidence,
     incidence_matrix,
+    random_hypergraph,
 )
-
-
-def random_hypergraph(rng, n_max=12, m_max=8, uniform=None):
-    n_min = uniform if uniform is not None else 2
-    n = int(rng.integers(n_min, n_max + 1))
-    m = int(rng.integers(1, m_max + 1))
-    edges = []
-    for _ in range(m):
-        size = uniform or int(rng.integers(1, min(n, 5) + 1))
-        edges.append(rng.choice(n, size=size, replace=False).tolist())
-    return from_edge_list(n, edges)
 
 
 class TestConstruction:

@@ -6,6 +6,7 @@ from hgx import nn
 from hgx.autodiff import Tensor
 from hgx.nn import EmptyMaskError, MlpSpec, cross_entropy_loss, grad_check, layer_norm
 from hgx.optim import AdamState
+from oracles import worst_row
 
 
 class TestMlp:
@@ -44,8 +45,7 @@ class TestMlp:
                 ad.mul(nn.mlp_forward(spec, params, Tensor(x), "m"), ad.constant(c))
             )
 
-        report = grad_check(build, params)
-        assert report.max_rel_err < 1e-4
+        assert worst_row(grad_check(build, params))["err"] < 1e-4
 
     def test_bad_specs(self):
         with pytest.raises(ValueError):
@@ -89,7 +89,7 @@ class TestLayerNorm:
         def build():
             return ad.sum_all(ad.mul(layer_norm(x, gain, bias), ad.constant(c)))
 
-        assert grad_check(build, params).max_rel_err < 1e-5
+        assert worst_row(grad_check(build, params))["err"] < 1e-5
 
 
 class TestCrossEntropy:
@@ -155,7 +155,7 @@ class TestCrossEntropy:
         def build():
             return cross_entropy_loss(logits, labels, mask)
 
-        assert grad_check(build, params, h=1e-6).max_rel_err < 1e-6
+        assert worst_row(grad_check(build, params, h=1e-6))["err"] < 1e-6
 
 
 class TestAdam:
@@ -218,6 +218,16 @@ class TestAdam:
 
 
 class TestGradCheckHarness:
+    def test_one_row_per_entry_names_sorted_entries_in_c_order(self):
+        params = {"b": ad.parameter(np.arange(4.0).reshape(2, 2)), "a": ad.parameter([[3.0]])}
+        rows = grad_check(lambda: ad.sum_all(ad.mul(params["b"], params["b"])), params)
+        assert [(r["param"], r["index"]) for r in rows] == [
+            ("a", [0, 0]), ("b", [0, 0]), ("b", [0, 1]), ("b", [1, 0]), ("b", [1, 1])]
+        assert set(rows[0]) == {"param", "index", "analytic", "central", "forward",
+                                "backward", "err"}
+        assert rows[0]["analytic"] == 0.0  # "a" is not in the loss
+        assert [r["analytic"] for r in rows[1:]] == [0.0, 2.0, 4.0, 6.0]
+
     def test_linear_function_near_exact(self):
         w = ad.parameter(np.array([[1.5, -0.5], [2.0, 0.25]]))
         c = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -226,7 +236,75 @@ class TestGradCheckHarness:
         def build():
             return ad.sum_all(ad.mul(w, ad.constant(c)))
 
-        assert grad_check(build, params).max_rel_err < 1e-9
+        assert worst_row(grad_check(build, params))["err"] < 1e-9
+
+    def test_rounding_of_a_large_loss_is_forgiven(self):
+        # every loss near 1000 is rounded to ulp(1000) = 1.1e-13, so at
+        # h = 1e-7 a difference moves in steps of 1.1e-6, a fifth of the
+        # gradient 5.8e-6: here the central difference is 7% off
+        w = ad.parameter([[1.0]])
+        [row] = grad_check(lambda: ad.add(ad.constant(1000.0), ad.mul(w, ad.constant(5.8e-6))),
+                           {"w": w}, h=1e-7)
+        assert abs(row["central"] - row["analytic"]) > 0.05 * row["analytic"]
+        assert row["err"] == 0.0
+
+    def test_relu_kink_passes_on_the_backward_difference(self):
+        w = ad.parameter([[0.0]])
+        [row] = grad_check(lambda: ad.sum_all(ad.relu(w)), {"w": w})
+        assert row["analytic"] == row["backward"] == 0.0
+        assert row["forward"] == pytest.approx(1.0) and row["central"] == pytest.approx(0.5)
+        assert row["err"] == 0.0
+
+    @pytest.mark.parametrize("slope, offset, h", [(1e-3, 0.0, 1e-5), (1.0, 0.0, 1e-5),
+                                                  (1e-3, 1000.0, 1e-7)])
+    def test_a_vjp_one_percent_too_large_fails(self, slope, offset, h):
+        # even at the slack of a loss near 1000 and h = 1e-7, an entry of
+        # 1e-3 fails the loosest tolerance any test uses
+        w = ad.parameter([[0.7]])
+
+        def build():
+            y = Tensor(slope * w.value, _parents=(w,), _vjps=(lambda g: 1.01 * slope * g,))
+            return ad.add(ad.constant(offset), y)
+
+        [row] = grad_check(build, {"w": w}, h=h)
+        assert row["err"] > 1e-4
+
+    def test_a_smooth_entry_is_judged_by_the_central_difference(self):
+        # log at 0.5 with h = 1e-5: the one-sided differences sit 1e-5
+        # relative from the slope, so a VJP that far off passes on them
+        # unless they count only at a kink
+        w = ad.parameter([[0.5]])
+
+        def build():
+            return Tensor(np.log(w.value), _parents=(w,), _vjps=(lambda g: (1 + 1e-5) * g / w.value,))
+
+        [row] = grad_check(build, {"w": w})
+        assert abs(row["analytic"] - row["backward"]) < 1e-6 * row["analytic"]
+        assert row["err"] > 1e-6
+
+    def test_a_nan_gradient_fails(self):
+        w = ad.parameter(np.ones((2, 2)))
+        bad = np.array([[1.0, np.nan], [1.0, 1.0]])
+
+        def build():
+            return Tensor(w.value.sum(), _parents=(w,), _vjps=(lambda g: g * bad,))
+
+        rows = grad_check(build, {"w": w})
+        assert [r["err"] for r in rows] == [0.0, np.inf, 0.0, 0.0]
+        assert worst_row(rows)["err"] > 1e-4
+
+    def test_a_nan_loss_at_a_perturbed_point_fails(self):
+        w = ad.parameter(np.ones((1, 2)))
+
+        def build():
+            loss = ad.sum_all(w)
+            if w.value[0, 1] > 1.0:
+                loss.value[...] = np.nan
+            return loss
+
+        rows = grad_check(build, {"w": w})
+        assert np.isnan(rows[1]["forward"]) and rows[1]["err"] == np.inf
+        assert worst_row(rows)["err"] > 1e-4
 
     def test_nonscalar_rejected(self):
         w = ad.parameter(np.ones((2, 2)))

@@ -68,3 +68,28 @@ def test_rules_aggregate_through_pools_except_hypergcn():
     through an AllSet layer's pools, never by its own ``segment_sum``."""
     source = Path(hgx.rules.__file__).read_text()
     assert segment_sum_callers(source) == ["hypergcn_layer"]
+
+
+def held_ops(source: str) -> list:
+    """``ad.<name>`` reads that are not the callee of a call, as
+    ``(line, name)``: a module that holds an op this way keeps calling it
+    after another caller (the benchmark's tracer) rebinds the name in
+    ``hgx.autodiff``."""
+    tree = ast.parse(source)
+    callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return sorted(
+        (node.lineno, node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "ad" and id(node) not in callees
+    )
+
+
+def test_held_ops_are_found():
+    source = ("from hgx import autodiff as ad\nACT = {'relu': ad.relu}\n"
+              "y = ad.exp(ad.constant(1.0))\nf = ad.elu\n")
+    assert held_ops(source) == [(2, "relu"), (4, "elu")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_autodiff_read_is_a_call(path):
+    assert held_ops(path.read_text()) == []
