@@ -159,8 +159,11 @@ class SetTransformerPool(MultisetFunction):
     Per head, key and value maps are bias-free ``(in_dim, head_dim)``
     linear projections (``{prefix}.key{i}.w0``, ``.value{i}.w0``); the
     attention query is a learnable seed row, and the attention weights
-    are a softmax over the segment.  Head outputs are concatenated to
-    ``heads * head_dim`` columns, the width of the two-layer ``post`` MLP.
+    are a softmax over the segment.  Each logit, a key row dotted with
+    the head's seed slice, is taken per source row and then gathered to
+    the pairs, so no pair-by-``head_dim`` key array is built.  Head
+    outputs are concatenated to ``heads * head_dim`` columns, the width
+    of the two-layer ``post`` MLP.
     """
 
     def __init__(self, heads: int, head_dim: int):
@@ -199,7 +202,7 @@ class SetTransformerPool(MultisetFunction):
             v = ad.matmul(src, params[f"{prefix}.value{i}.w0"])
             lo, hi = i * self.head_dim, (i + 1) * self.head_dim
             seed_slice = ad.slice_cols(seed, lo, hi)
-            logits = ad.row_sum(ad.mul(ad.gather_rows(k, view.src), seed_slice))
+            logits = ad.gather_rows(ad.row_sum(ad.mul(k, seed_slice)), view.src)
             weights = ad.segment_softmax(logits, view)
             head_outputs.append(ad.segment_sum(v, view, weights))
         mh = head_outputs[0] if self.heads == 1 else ad.concat_cols(head_outputs)

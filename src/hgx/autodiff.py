@@ -4,7 +4,10 @@ Every value is a 2-D float64 array (scalars are 1x1, vectors are single
 rows).  An operation whose result needs a gradient records its inputs
 and a vector-Jacobian closure per input; a result of constants records
 nothing.  ``Tensor.backward`` walks the recorded graph once in reverse
-topological order.
+topological order and frees each intermediate gradient once it has
+reached the node's parents, so afterwards only leaves hold ``.grad``; a
+second backward over the same graph adds the same gradients to them
+again.
 
 Segment ops reduce over a :class:`~hgx.hypergraph.SegmentView`, whose
 one sort, ``view.pairs``, lists each segment's pairs in pair order.
@@ -79,7 +82,10 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable
         ``requires_grad`` leaf.  Visits each node exactly once, in reverse
-        topological order of construction."""
+        topological order of construction, and sets a node's ``.grad``
+        back to ``None`` once it has gone to the node's parents: only
+        leaves keep theirs, and calling ``backward`` again adds the same
+        gradients to them a second time."""
         if self.value.size != 1:
             raise NonScalarOutputError(
                 f"backward() needs a scalar output, got shape {self.shape}"
@@ -108,9 +114,16 @@ class Tensor:
                 if not parent.requires_grad:
                     continue
                 contrib = vjp(g)
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.value)
-                parent.grad += contrib
+                if parent.grad is not None:
+                    parent.grad += contrib
+                elif np.may_share_memory(contrib, g):
+                    # ``add`` passes ``g`` on, ``concat_cols`` a view of it:
+                    # a later ``+=`` must not write into a sibling's buffer
+                    parent.grad = contrib.copy()
+                else:
+                    parent.grad = contrib
+            if node._parents:
+                node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -7,6 +7,8 @@ the package so that no path is checked against itself:
   loop over (edge, member) pair states, the reference for the pair-state
   layer variant;
 - a pool applied to one multiset of rows, through a one-segment view;
+- the set-transformer pool by a loop over segments, on arrays;
+- a backward that keeps every node's gradient buffer;
 - the dense incidence and clique-expansion matrices and the order-d
   adjacency tensor;
 - HyperGCN's loop-chosen mediator pairs, its dense ``W`` filled by a
@@ -97,6 +99,34 @@ def z_prop(hg: Hypergraph, x: np.ndarray, d: int) -> np.ndarray:
     return pair_propagate(hg, x, lambda rows: (d - 1) * rows.prod(axis=0))
 
 
+def keep_all_backward(root):
+    """``(node, gradient)`` for every node that the backward of the scalar
+    ``root`` visits, from a reverse walk that keeps each buffer: a node's
+    gradient starts at zeros and each contribution is added to it.  The
+    walk visits nodes in the order ``Tensor.backward`` does, so the sums
+    are bit-identical to its own."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents
+                         if p.requires_grad and id(p) not in seen)
+    grads = {id(root): np.ones_like(root.value)}
+    for node in reversed(topo):
+        g = grads.get(id(node))
+        if g is None:
+            continue
+        for parent, vjp in zip(node._parents, node._vjps):
+            if parent.requires_grad:
+                grads.setdefault(id(parent), np.zeros_like(parent.value))
+                grads[id(parent)] += vjp(g)
+    return [(node, grads.get(id(node))) for node in topo]
+
+
 def worst_row(rows):
     """The row of ``nn.grad_check`` with the largest ``err``."""
     return max(rows, key=lambda r: r["err"])
@@ -107,6 +137,39 @@ def one_multiset(pool, params, rows, prefix="f"):
     rows = ad.wrap(rows)
     n = rows.shape[0]
     return pool.aggregate(params, rows, segment_view(np.arange(n), np.zeros(n, np.int64), 1, n), prefix)
+
+
+def _layer_norm(row, gain, bias):
+    centered = row - row.mean()
+    return centered / np.sqrt((centered * centered).mean() + 1e-5) * gain + bias
+
+
+def set_transformer_pool(pool, params, x, view, prefix="f"):
+    """``SetTransformerPool`` by a loop over the segments of ``view``, on
+    arrays: per head, a softmax over the segment of each member's key
+    dotted with the seed's slice weights the members' values; the heads'
+    rows, concatenated, go through the seed residual and layer norm, then
+    the post MLP's residual and layer norm.  Empty segments give zero
+    rows."""
+    def value(name):
+        return params[f"{prefix}.{name}"].value
+
+    seed, width = value("seed")[0], pool.head_dim
+    out = np.zeros((view.count, pool.hidden))
+    for s in range(view.count):
+        rows = x[view.src[view.seg == s]]
+        if not len(rows):
+            continue
+        heads = []
+        for i in range(pool.heads):
+            logits = rows @ value(f"key{i}.w0") @ seed[i * width:(i + 1) * width]
+            weights = np.exp(logits - logits.max())
+            heads.append(weights / weights.sum() @ (rows @ value(f"value{i}.w0")))
+        y = _layer_norm(seed + np.concatenate(heads), value("ln1.gain")[0], value("ln1.bias")[0])
+        hidden = np.maximum(y @ value("post.w0") + value("post.b0")[0], 0.0)
+        post = hidden @ value("post.w1") + value("post.b1")[0]
+        out[s] = _layer_norm(y + post, value("ln2.gain")[0], value("ln2.bias")[0])
+    return out
 
 
 def random_hypergraph(rng, n_max=12, m_max=8, uniform=None):

@@ -172,6 +172,28 @@ class TestLearnedPools:
         assert worst_row(nn.grad_check(build, params))["err"] < 1e-4
 
 
+class TestSetTransformerOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(case=hypergraphs_with_features(), heads=st.integers(1, 3),
+           head_dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_aggregate_matches_the_segment_loop(self, case, heads, head_dim, seed):
+        # the views hold isolated nodes' and 1-member edges' empty
+        # segments; every parameter, layer-norm gains and biases too, is
+        # moved off its initial value
+        hg, x = case
+        rng = np.random.default_rng(seed)
+        pool = SetTransformerPool(heads=heads, head_dim=head_dim)
+        params = pool.init_params(rng, x.shape[1], "f")
+        for t in params.values():
+            t.value += rng.normal(scale=0.5, size=t.shape)
+        inc = hg.incidence
+        for view in (inc.v2e, inc.e2v, inc.pair_views[0]):
+            rows = rng.normal(size=(view.src_count, x.shape[1]))
+            got = pool.aggregate(params, ad.constant(rows), view, "f").value
+            want = oracles.set_transformer_pool(pool, params, rows, view, "f")
+            assert np.abs(got - want).max(initial=0.0) < 1e-12
+
+
 class TestPermutationInvariance:
     @pytest.mark.parametrize(
         "make_pool",

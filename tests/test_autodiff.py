@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from hgx import autodiff as ad
 from hgx import nn
+from hgx.allset import AllSetLayer, AllSetNetwork, DeepSetsPool, SetTransformerPool
 from hgx.autodiff import Tensor
 from hgx.hypergraph import segment_view
-from oracles import hypergraphs_with_features, worst_row
+from hgx.nn import MlpSpec
+from oracles import hypergraphs_with_features, keep_all_backward, random_hypergraph, worst_row
 
 
 def pair_view(seg, num):
@@ -274,6 +277,118 @@ class TestTape:
         gc.collect()
         assert freed() is None  # the result does not hold its constant inputs
         np.testing.assert_array_equal(out.value, np.e)
+
+
+def network_loss(pool, seed):
+    """A two-layer AllSet network of ``pool()`` pools, width 8: its
+    training loss on a random hypergraph, and its parameters."""
+    rng = np.random.default_rng(seed)
+    hg = random_hypergraph(rng, n_max=20, m_max=12)
+    x = rng.normal(size=(hg.n, 5))
+    layers = [AllSetLayer(pool(), pool()) for _ in range(2)]
+    net = AllSetNetwork(5, 3, layers, input_proj=MlpSpec((5, 8)))
+    params = net.init_params(rng)
+    labels = rng.integers(0, 3, size=hg.n)
+    loss = nn.cross_entropy_loss(net.forward(params, hg, x), labels, np.arange(hg.n))
+    return loss, params
+
+
+POOLS = {
+    "deepsets": lambda: DeepSetsPool(MlpSpec((8, 8, 8)), MlpSpec((8, 8))),
+    "settransformer": lambda: SetTransformerPool(heads=2, head_dim=4),
+}
+
+
+class TestBackwardReleasesGradients:
+    """After ``backward`` only leaves hold ``.grad``; the intermediate
+    buffers are freed as soon as they have reached their parents."""
+
+    def test_second_backward_adds_the_same_gradients_again(self):
+        x = ad.parameter(np.array([[1.0, -2.0]]))
+        z = ad.sum_all(ad.mul(x, ad.constant(3.0)))
+        z.backward()
+        np.testing.assert_array_equal(x.grad, [[3.0, 3.0]])
+        z.backward()
+        np.testing.assert_array_equal(x.grad, [[6.0, 6.0]])
+
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    def test_second_backward_of_a_network_repeats_the_first(self, pool):
+        # a leaf with several contributions sums them in the same order
+        # each time, so after zeroing the leaves the result is identical
+        loss, params = network_loss(POOLS[pool], 0)
+        loss.backward()
+        once = {k: t.grad.copy() for k, t in params.items()}
+        ad.zero_grads(params.values())
+        loss.backward()
+        for k, t in params.items():
+            np.testing.assert_array_equal(t.grad, once[k], err_msg=k)
+
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    def test_only_leaves_keep_gradients_and_they_match_a_keep_all_backward(self, pool):
+        loss, params = network_loss(POOLS[pool], 1)
+        want = keep_all_backward(loss)
+        loss.backward()
+        assert [t for t, _ in want if t._parents and t.grad is not None] == []
+        leaves = [(t, g) for t, g in want if not t._parents]
+        assert {id(t) for t in params.values()} <= {id(t) for t, _ in leaves}
+        for t, g in leaves:
+            np.testing.assert_array_equal(t.grad, g)
+
+    def test_backward_peak_stays_a_few_buffers_above_the_tape(self):
+        rng = np.random.default_rng(0)
+        x = ad.parameter(rng.normal(size=(2000, 64)))
+        row = ad.constant(rng.uniform(0.9, 1.1, size=(1, 64)))
+        h = x
+        for i in range(30):
+            h = (ad.mul, ad.add, ad.sub)[i % 3](h, row)
+        out = ad.sum_all(h)
+        buffer = x.value.nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out.backward()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # ``x.grad`` is one buffer, the node being propagated and its
+        # contribution two more; keeping every gradient would be 31
+        assert peak < 4 * buffer
+
+
+class TestFirstContributionIsNotShared:
+    """A parent's first gradient is assigned, not added to zeros.  ``add``
+    hands ``g`` itself to both operands and ``concat_cols`` views of it,
+    so that assignment copies: otherwise a later ``+=`` into one
+    operand's gradient would write into the other's."""
+
+    @pytest.mark.parametrize("a_term_first", [False, True])
+    def test_add_operands_get_separate_buffers(self, a_term_first):
+        a = ad.parameter(np.ones((2, 3)))
+        b = ad.parameter(np.ones((2, 3)))
+        terms = [ad.mul(ad.add(a, b), ad.constant(2.0)), ad.mul(a, ad.constant(5.0))]
+        ad.sum_all(ad.add(*(terms[::-1] if a_term_first else terms))).backward()
+        np.testing.assert_array_equal(a.grad, 7.0)
+        np.testing.assert_array_equal(b.grad, 2.0)
+
+    @pytest.mark.parametrize("x_term_first", [False, True])
+    def test_add_of_a_tensor_to_itself(self, x_term_first):
+        x = ad.parameter(np.ones((2, 3)))
+        terms = [ad.add(x, x), ad.mul(x, ad.constant(5.0))]
+        ad.sum_all(ad.add(*(terms[::-1] if x_term_first else terms))).backward()
+        np.testing.assert_array_equal(x.grad, 7.0)
+
+    @pytest.mark.parametrize("a_term_first", [False, True])
+    def test_concat_parts_do_not_write_into_a_sibling(self, a_term_first):
+        a = ad.parameter(np.ones((2, 1)))
+        b = ad.parameter(np.ones((2, 2)))
+        d = ad.parameter(np.ones((2, 3)))
+        s = ad.add(ad.concat_cols([a, b]), d)
+        terms = [ad.sum_all(ad.mul(s, ad.constant(2.0))),
+                 ad.sum_all(ad.mul(a, ad.constant(5.0)))]
+        ad.add(*(terms[::-1] if a_term_first else terms)).backward()
+        np.testing.assert_array_equal(a.grad, 7.0)
+        np.testing.assert_array_equal(b.grad, 2.0)
+        np.testing.assert_array_equal(d.grad, 2.0)
 
 
 # --- segment reductions against the ufunc.at scatters they replaced --------
