@@ -158,12 +158,18 @@ class SetTransformerPool(MultisetFunction):
 
     Per head, key and value maps are bias-free ``(in_dim, head_dim)``
     linear projections (``{prefix}.key{i}.w0``, ``.value{i}.w0``); the
-    attention query is a learnable seed row, and the attention weights
-    are a softmax over the segment.  Each logit, a key row dotted with
-    the head's seed slice, is taken per source row and then gathered to
-    the pairs, so no pair-by-``head_dim`` key array is built.  Head
-    outputs are concatenated to ``heads * head_dim`` columns, the width
-    of the two-layer ``post`` MLP.
+    attention query is a learnable seed row, the same for every segment,
+    and the attention weights are a softmax over the segment.  All heads
+    run in one pass.  A head's logit, a key row dotted with the head's
+    seed slice, is folded into the key map: with ``W_k`` the heads' key
+    maps side by side and ``E`` the constant ``(hidden, heads)`` 0/1
+    matrix that sums each head's columns, ``k . s = src (W_k * s) E``
+    (``*`` elementwise, the seed row broadcast down ``W_k``).
+    The ``(rows, heads)`` logits are taken per source row and gathered to
+    the pairs, so no key array of ``rows x head_dim`` (nor of pairs) is
+    built.  One softmax weights each head's column block of the values
+    in one weighted segment sum, whose ``heads * head_dim`` columns are
+    the width of the two-layer ``post`` MLP.
     """
 
     def __init__(self, heads: int, head_dim: int):
@@ -173,6 +179,7 @@ class SetTransformerPool(MultisetFunction):
         self.heads, self.head_dim = map(operator.index, dims)
         self.hidden = self.heads * self.head_dim
         self.post = MlpSpec((self.hidden, self.hidden, self.hidden))
+        self._head_sums = np.repeat(np.eye(self.heads), self.head_dim, axis=0)  # E
 
     def out_dim(self, in_dim):
         return self.hidden
@@ -196,16 +203,12 @@ class SetTransformerPool(MultisetFunction):
 
     def aggregate(self, params, src, view, prefix):
         seed = params[f"{prefix}.seed"]
-        head_outputs = []
-        for i in range(self.heads):
-            k = ad.matmul(src, params[f"{prefix}.key{i}.w0"])
-            v = ad.matmul(src, params[f"{prefix}.value{i}.w0"])
-            lo, hi = i * self.head_dim, (i + 1) * self.head_dim
-            seed_slice = ad.slice_cols(seed, lo, hi)
-            logits = ad.gather_rows(ad.row_sum(ad.mul(k, seed_slice)), view.src)
-            weights = ad.segment_softmax(logits, view)
-            head_outputs.append(ad.segment_sum(v, view, weights))
-        mh = head_outputs[0] if self.heads == 1 else ad.concat_cols(head_outputs)
+        heads = range(self.heads)
+        keys = ad.concat_cols([params[f"{prefix}.key{i}.w0"] for i in heads])
+        scores = ad.matmul(ad.mul(keys, seed), ad.constant(self._head_sums))
+        logits = ad.gather_rows(ad.matmul(src, scores), view.src)
+        values = ad.matmul(src, ad.concat_cols([params[f"{prefix}.value{i}.w0"] for i in heads]))
+        mh = ad.segment_sum(values, view, ad.segment_softmax(logits, view))
         y = nn.layer_norm(
             ad.add(seed, mh), params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"]
         )

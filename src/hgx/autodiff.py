@@ -9,6 +9,11 @@ reached the node's parents, so afterwards only leaves hold ``.grad``; a
 second backward over the same graph adds the same gradients to them
 again.
 
+A few hot paths are one node each, with an analytic VJP per input,
+instead of a chain of small ops: :func:`linear` (``x @ w + b``), the
+block-weighted :func:`segment_sum` that sums all attention heads at
+once, and :func:`hgx.nn.layer_norm`.
+
 Segment ops reduce over a :class:`~hgx.hypergraph.SegmentView`, whose
 one sort, ``view.pairs``, lists each segment's pairs in pair order.
 Sums are products with the view's CSR (``view.matrix``, with the pair
@@ -289,6 +294,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node, ``b`` a ``(1, out)`` row: the same
+    arithmetic as ``add(matmul(x, w), b)``, with the bias added in place."""
+    if x.shape[1] != w.shape[0]:
+        raise ShapeMismatchError(f"linear {x.shape} @ {w.shape}")
+    if b.shape != (1, w.shape[1]):
+        raise ShapeMismatchError(f"bias {b.shape} for {w.shape[1]} output columns")
+    out = x.value @ w.value
+    out += b.value
+    return Tensor(
+        out,
+        _parents=(x, w, b),
+        _vjps=(
+            lambda g: g @ w.value.T,
+            lambda g: x.value.T @ g,
+            lambda g: g.sum(axis=0, keepdims=True),
+        ),
+    )
+
+
 def sum_all(a: Tensor) -> Tensor:
     return Tensor(
         np.array([[a.value.sum()]]),
@@ -365,23 +390,46 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 def segment_sum(x: Tensor, view, weights=None) -> Tensor:
     """One row per segment of ``view``: the sum over its pairs ``p``, in
     pair order, of ``w_p * x[src_p]``.  ``x`` has ``view.src_count`` rows;
-    ``weights`` is a ``(P, 1)`` array or Tensor (``w = 1`` when ``None``).
-    Empty segments yield zero rows."""
+    ``weights`` is a ``(P, k)`` array or Tensor (``w = 1`` when ``None``)
+    whose column ``j`` weights the ``j``-th of ``k`` equal column blocks
+    of ``x``, so ``k`` must divide ``x``'s column count; each block's sum
+    is bit-identical to a ``(P, 1)`` call on that block alone.  Empty
+    segments yield zero rows."""
     m = view.matrix
     if x.shape[0] != m.shape[1]:
         raise ShapeMismatchError(f"{x.shape[0]} rows for a view of {m.shape[1]}")
     if weights is None:
         return Tensor(m @ x.value, _parents=(x,), _vjps=(lambda g: m.T @ g,))
     w = wrap(weights)
-    if w.shape != (m.nnz, 1):
-        raise ShapeMismatchError(f"weights {w.shape} for {m.nnz} pairs")
-    m = sparse.csr_array((w.value[view.pairs.indices, 0], m.indices, m.indptr),
-                         shape=m.shape)
+    k = w.shape[1]
+    if w.shape[0] != m.nnz or not k or x.shape[1] % k:
+        raise ShapeMismatchError(f"weights {w.shape} for {m.nnz} pairs of {x.shape[1]} columns")
+    width = x.shape[1] // k
+    count, rows = m.shape
+    # one CSR sums every block: with x's blocks stacked as (k * rows,
+    # width), its row j * count + s holds segment s's pairs for block j,
+    # which it adds in the order a (P, 1) call on block j would
+    shift = np.arange(k).reshape(-1, 1)
+    blocks = sparse.csr_array(
+        (w.value[view.pairs.indices].T.ravel(), (m.indices + rows * shift).ravel(),
+         np.append((m.indptr[:-1] + m.nnz * shift).ravel(), k * m.nnz)),
+        shape=(k * count, k * rows))
+
+    def stacked(a):  # (n, k * width) -> (k * n, width); a view when k == 1
+        n = a.shape[0]
+        return a.reshape(n, k, width).swapaxes(0, 1).reshape(k * n, width)
+
+    def unstacked(a):  # the inverse of ``stacked``
+        n = a.shape[0] // k
+        return a.reshape(k, n, width).swapaxes(0, 1).reshape(n, k * width)
 
     def dw(g):
-        return (g[view.seg] * x.value[view.src]).sum(axis=1, keepdims=True)
+        prod = g[view.seg]
+        prod *= x.value[view.src]
+        return prod.reshape(len(prod), k, width).sum(axis=2)
 
-    return Tensor(m @ x.value, _parents=(x, w), _vjps=(lambda g: m.T @ g, dw))
+    return Tensor(unstacked(blocks @ stacked(x.value)), _parents=(x, w),
+                  _vjps=(lambda g: unstacked(blocks.T @ stacked(g)), dw))
 
 
 def _segment_reduce(ufunc, values: np.ndarray, m, empty: float) -> np.ndarray:

@@ -80,7 +80,7 @@ def mlp_forward(
     h = x
     last = len(spec.widths) - 2
     for i in range(len(spec.widths) - 1):
-        h = ad.add(ad.matmul(h, params[f"{prefix}.w{i}"]), params[f"{prefix}.b{i}"])
+        h = ad.linear(h, params[f"{prefix}.w{i}"], params[f"{prefix}.b{i}"])
         if i != last and spec.activation != "identity":
             # read from ``ad`` per call, as every op is, so a rebound ``ad.relu`` is seen
             h = getattr(ad, spec.activation)(h)
@@ -89,15 +89,38 @@ def mlp_forward(
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance, then scale and
-    shift.  A constant row collapses to zeros (the 1e-5 variance floor
-    wins)."""
-    n_cols = x.shape[1]
-    mean = ad.mul(ad.row_sum(x), ad.constant(1.0 / n_cols))
-    centered = ad.sub(x, mean)
-    var = ad.mul(ad.row_sum(ad.mul(centered, centered)), ad.constant(1.0 / n_cols))
-    inv_std = ad.div(ad.constant(1.0), ad.sqrt(ad.add(var, ad.constant(1e-5))))
-    normalized = ad.mul(centered, inv_std)
-    return ad.add(ad.mul(normalized, gain), bias)
+    shift: one node over ``(x, gain, bias)``.  A constant row collapses
+    to zeros (the 1e-5 variance floor wins).  With ``d = g * gain`` and
+    the normalized row ``n``, the input gradient is
+    ``inv_std * (d - mean(d) - n * mean(d * n))``, row by row."""
+    for t in (gain, bias):
+        if t.shape != (1, x.shape[1]):
+            raise ad.ShapeMismatchError(f"layer norm of {x.shape} takes a {t.shape} row")
+    scale = 1.0 / x.shape[1]
+    centered = x.value - x.value.sum(axis=1, keepdims=True) * scale
+    var = (centered * centered).sum(axis=1, keepdims=True) * scale
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
+    normalized = np.multiply(centered, inv_std, out=centered)
+
+    def dx(g):
+        d = g * gain.value
+        dn_mean = (d * normalized).sum(axis=1, keepdims=True) * scale
+        d -= d.sum(axis=1, keepdims=True) * scale
+        d -= normalized * dn_mean
+        d *= inv_std
+        return d
+
+    out = normalized * gain.value
+    out += bias.value
+    return Tensor(
+        out,
+        _parents=(x, gain, bias),
+        _vjps=(
+            dx,
+            lambda g: (g * normalized).sum(axis=0, keepdims=True),
+            lambda g: g.sum(axis=0, keepdims=True),
+        ),
+    )
 
 
 def cross_entropy_loss(

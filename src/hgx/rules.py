@@ -117,7 +117,7 @@ def _inverse(a: np.ndarray) -> np.ndarray:
 
 def _linear(params: Dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     """``x Theta + b`` with the ``{prefix}.theta`` and ``.bias`` parameters."""
-    return ad.add(ad.matmul(x, params[f"{prefix}.theta"]), params[f"{prefix}.bias"])
+    return ad.linear(x, params[f"{prefix}.theta"], params[f"{prefix}.bias"])
 
 
 def init_linear_params(

@@ -8,6 +8,8 @@ the package so that no path is checked against itself:
   layer variant;
 - a pool applied to one multiset of rows, through a one-segment view;
 - the set-transformer pool by a loop over segments, on arrays;
+- layer norm as the chain of elementwise and row-sum ops it was before
+  it became one node;
 - a backward that keeps every node's gradient buffer;
 - the dense incidence and clique-expansion matrices and the order-d
   adjacency tensor;
@@ -142,6 +144,17 @@ def one_multiset(pool, params, rows, prefix="f"):
 def _layer_norm(row, gain, bias):
     centered = row - row.mean()
     return centered / np.sqrt((centered * centered).mean() + 1e-5) * gain + bias
+
+
+def layer_norm_chain(x, gain, bias):
+    """``nn.layer_norm`` as twelve autodiff ops, each with its own VJP."""
+    n_cols = x.shape[1]
+    mean = ad.mul(ad.row_sum(x), ad.constant(1.0 / n_cols))
+    centered = ad.sub(x, mean)
+    var = ad.mul(ad.row_sum(ad.mul(centered, centered)), ad.constant(1.0 / n_cols))
+    inv_std = ad.div(ad.constant(1.0), ad.sqrt(ad.add(var, ad.constant(1e-5))))
+    normalized = ad.mul(centered, inv_std)
+    return ad.add(ad.mul(normalized, gain), bias)
 
 
 def set_transformer_pool(pool, params, x, view, prefix="f"):

@@ -194,6 +194,54 @@ class TestSetTransformerOracle:
             assert np.abs(got - want).max(initial=0.0) < 1e-12
 
 
+def tape_nodes(out):
+    """The recorded nodes (tensors with parents) reachable from ``out``."""
+    seen, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if node._parents and id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return len(seen)
+
+
+# SetTransformerPool(heads=2, head_dim=3).init_params(default_rng(7), 4, "f"):
+# each key, its shape and the sum of its initial values
+SET_TRANSFORMER_INIT = [
+    ("f.seed", (1, 6), -0.9434909250919423),
+    ("f.key0.w0", (4, 3), 0.40571260763829664),
+    ("f.value0.w0", (4, 3), -0.5176657908207544),
+    ("f.key1.w0", (4, 3), -3.0608830991060225),
+    ("f.value1.w0", (4, 3), 0.2898035029005147),
+    ("f.ln1.gain", (1, 6), 6.0),
+    ("f.ln1.bias", (1, 6), 0.0),
+    ("f.ln2.gain", (1, 6), 6.0),
+    ("f.ln2.bias", (1, 6), 0.0),
+    ("f.post.w0", (6, 6), 0.9821395163612645),
+    ("f.post.b0", (1, 6), 0.0),
+    ("f.post.w1", (6, 6), 0.1353118467600697),
+    ("f.post.b1", (1, 6), 0.0),
+]
+
+
+class TestSetTransformerHeads:
+    def test_tape_does_not_grow_with_the_heads(self):
+        hg = from_edge_list(5, [[0, 1, 2], [2, 3], [4]])
+        x = ad.constant(np.random.default_rng(0).normal(size=(5, 3)))
+        sizes = set()
+        for heads in (1, 8):
+            pool = SetTransformerPool(heads=heads, head_dim=2)
+            params = pool.init_params(np.random.default_rng(1), 3, "f")
+            sizes.add(tape_nodes(pool.aggregate(params, x, hg.incidence.v2e, "f")))
+        assert len(sizes) == 1
+
+    def test_init_keys_and_draws_are_kept(self):
+        params = SetTransformerPool(heads=2, head_dim=3).init_params(
+            np.random.default_rng(7), 4, "f")
+        got = [(k, t.shape, float(t.value.sum())) for k, t in params.items()]
+        assert got == SET_TRANSFORMER_INIT
+
+
 class TestPermutationInvariance:
     @pytest.mark.parametrize(
         "make_pool",

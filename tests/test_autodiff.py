@@ -265,6 +265,41 @@ class TestGradients:
         np.testing.assert_array_equal(t.grad[kept], 2.0 * c.value[kept])
 
 
+class TestLinear:
+    @staticmethod
+    def _value_and_grads(op):
+        rng = np.random.default_rng(30)
+        x, w, b = (ad.parameter(rng.normal(size=shape)) for shape in ((5, 4), (4, 3), (1, 3)))
+        out = op(x, w, b)
+        ad.sum_all(ad.mul(out, ad.constant(rng.normal(size=(5, 3))))).backward()
+        return [out.value, x.grad, w.grad, b.grad]
+
+    def test_equals_add_of_matmul_bit_for_bit(self):
+        got = self._value_and_grads(ad.linear)
+        want = self._value_and_grads(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("w_shape, b_shape", [
+        ((3, 2), (1, 2)), ((4, 2), (1, 3)), ((4, 2), (5, 2)), ((4, 2), (2, 1)),
+    ])
+    def test_shape_mismatch(self, w_shape, b_shape):
+        x = Tensor(np.ones((5, 4)))
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.linear(x, Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(31)
+        params = {name: ad.parameter(rng.normal(size=shape))
+                  for name, shape in (("x", (5, 4)), ("w", (4, 3)), ("b", (1, 3)))}
+        c = ad.constant(rng.normal(size=(5, 3)))
+
+        def build():
+            return ad.sum_all(ad.mul(ad.linear(params["x"], params["w"], params["b"]), c))
+
+        assert worst_row(nn.grad_check(build, params))["err"] < 1e-6
+
+
 class TestTape:
     def test_results_of_constants_keep_no_tape(self):
         a = ad.constant(np.ones((2, 2)))
@@ -505,6 +540,53 @@ class TestSegmentPrimitives:
             ad.segment_sum(Tensor(np.ones((3, 1))), view, np.ones((3, 1)))
         with pytest.raises(ad.ShapeMismatchError):
             ad.segment_softmax(Tensor(np.ones((3, 1))), view)
+
+
+@st.composite
+def block_cases(draw):
+    """A view case whose rows hold ``k`` column blocks, with one weight
+    column per block and an output gradient."""
+    view, x, w, g = draw(view_cases())
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, g = np.tile(x, k) * rng.normal(size=k * x.shape[1]), np.tile(g, k)
+    w = np.tile(w, k) * rng.normal(size=(len(w), k))
+    return view, x, w, g, k
+
+
+class TestBlockWeightedSegmentSum:
+    @settings(max_examples=150, deadline=None)
+    @given(block_cases())
+    def test_blocks_equal_single_column_calls_bit_for_bit(self, case):
+        view, x, w, g, k = case
+        out = ad.segment_sum(ad.parameter(x), view, ad.parameter(w))
+        dx, dw = out._vjps[0](g), out._vjps[1](g)
+        width = x.shape[1] // k
+        for j in range(k):
+            cols = slice(j * width, (j + 1) * width)
+            one = ad.segment_sum(ad.parameter(x[:, cols]), view, ad.parameter(w[:, j:j + 1]))
+            assert np.array_equal(out.value[:, cols], one.value)
+            assert np.array_equal(dx[:, cols], one._vjps[0](g[:, cols]))
+            assert np.array_equal(dw[:, j:j + 1], one._vjps[1](g[:, cols]))
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(32)
+        view = segment_view([0, 2, 1, 2, 0], [1, 0, 1, 2, 1], 3, 3)
+        x = ad.parameter(rng.normal(size=(3, 6)))
+        w = ad.parameter(rng.normal(size=(5, 3)))
+        c = ad.constant(rng.normal(size=(3, 6)))
+        rows = nn.grad_check(lambda: ad.sum_all(ad.mul(ad.segment_sum(x, view, w), c)),
+                             {"x": x, "w": w})
+        assert worst_row(rows)["err"] < 1e-6
+
+    @pytest.mark.parametrize("x_cols, w_shape",
+                             [(5, (2, 2)), (4, (2, 0)), (4, (3, 2)), (4, (1, 2))])
+    def test_shape_mismatch(self, x_cols, w_shape):
+        # five columns do not split in two blocks, nor any in none; the
+        # view has two pairs
+        view = segment_view([0, 2], [1, 0], 2, 3)
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.segment_sum(Tensor(np.ones((3, x_cols))), view, np.ones(w_shape))
 
 
 # --- segment_sum against the gather -> mul -> scatter chain it replaced ------

@@ -6,7 +6,7 @@ from hgx import nn
 from hgx.autodiff import Tensor
 from hgx.nn import EmptyMaskError, MlpSpec, cross_entropy_loss, grad_check, layer_norm
 from hgx.optim import AdamState
-from oracles import worst_row
+from oracles import layer_norm_chain, worst_row
 
 
 class TestMlp:
@@ -90,6 +90,44 @@ class TestLayerNorm:
             return ad.sum_all(ad.mul(layer_norm(x, gain, bias), ad.constant(c)))
 
         assert worst_row(grad_check(build, params))["err"] < 1e-5
+
+    @staticmethod
+    def _rows(kind, rng):
+        if kind == "random":
+            return rng.normal(size=(6, 5)) * rng.choice([1e-3, 1.0, 1e3], size=(6, 1))
+        return np.full((2, 5), 3.7)  # the variance floor wins
+
+    @staticmethod
+    def _value_and_grads(norm, rows, gain, bias, c):
+        params = [ad.parameter(rows), ad.parameter(gain), ad.parameter(bias)]
+        out = norm(*params)
+        ad.sum_all(ad.mul(out, ad.constant(c))).backward()
+        return out.value, [t.grad for t in params]
+
+    @pytest.mark.parametrize("kind", ["random", "constant"])
+    def test_matches_the_op_chain(self, kind):
+        # same forward ops in the same order; the analytic input gradient
+        # rounds differently from the chain's twelve VJPs
+        rng = np.random.default_rng(11)
+        rows = self._rows(kind, rng)
+        gain = rng.uniform(0.5, 1.5, size=(1, 5))
+        bias = rng.normal(size=(1, 5))
+        c = rng.normal(size=rows.shape)
+        got, got_grads = self._value_and_grads(layer_norm, rows, gain, bias, c)
+        want, want_grads = self._value_and_grads(layer_norm_chain, rows, gain, bias, c)
+        assert np.array_equal(got, want)
+        for g, w in zip(got_grads, want_grads):
+            assert np.isfinite(g).all()
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    def test_gain_and_bias_must_be_one_row_of_the_width(self):
+        x = Tensor(np.ones((3, 4)))
+        gain, bias = self._gb(4)
+        for bad in (Tensor(np.ones((3, 4))), Tensor(np.ones((1, 3)))):
+            with pytest.raises(ad.ShapeMismatchError):
+                layer_norm(x, bad, bias)
+            with pytest.raises(ad.ShapeMismatchError):
+                layer_norm(x, gain, bad)
 
 
 class TestCrossEntropy:
