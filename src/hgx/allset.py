@@ -103,24 +103,17 @@ class ProductPool(MultisetFunction):
 class WeightedSumPool(MultisetFunction):
     """Sum with fixed rule-derived weights, one per pair of the view (an
     array, or a ``(P, 1)`` Tensor such as HCHA's attention, which then
-    gets gradients), then an optional per-segment rescale: the degree
-    normalizers of HGNN, HCHA and HNHN."""
+    gets gradients).  The weights carry every normalizer of HGNN, HCHA
+    and HNHN, per-segment ones included: there is no rescale after the
+    sum."""
 
-    def __init__(self, pair_weights, segment_scale: Optional[np.ndarray] = None):
+    def __init__(self, pair_weights):
         if not isinstance(pair_weights, Tensor):
             pair_weights = np.asarray(pair_weights, dtype=np.float64).reshape(-1, 1)
         self.pair_weights = pair_weights
-        self.segment_scale = (
-            None
-            if segment_scale is None
-            else np.asarray(segment_scale, dtype=np.float64).reshape(-1, 1)
-        )
 
     def aggregate(self, params, src, view, prefix):
-        out = ad.segment_sum(src, view, self.pair_weights)
-        if self.segment_scale is not None:
-            out = ad.mul(out, ad.constant(self.segment_scale))
-        return out
+        return ad.segment_sum(src, view, self.pair_weights)
 
 
 class DeepSetsPool(MultisetFunction):

@@ -253,28 +253,29 @@ def power(a: Tensor, p: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    """``max(a, 0)``; a NaN entry stays NaN rather than becoming 0."""
     mask = a.value > 0
-    return Tensor(np.where(mask, a.value, 0.0), _parents=(a,), _vjps=(lambda g: g * mask,))
+    return Tensor(np.maximum(a.value, 0.0), _parents=(a,), _vjps=(lambda g: g * mask,))
 
 
 def leaky_relu(a: Tensor) -> Tensor:
-    """Leaky ReLU with slope 0.2 below 0."""
+    """Leaky ReLU with slope 0.2 below 0: ``max(a, 0.2 a)``."""
     mask = a.value > 0
     return Tensor(
-        np.where(mask, a.value, 0.2 * a.value),
+        np.maximum(a.value, 0.2 * a.value),
         _parents=(a,),
-        _vjps=(lambda g: g * np.where(mask, 1.0, 0.2),),
+        _vjps=(lambda g: g * (mask * 0.8 + 0.2),),
     )
 
 
 def elu(a: Tensor) -> Tensor:
-    """ELU with alpha 1: ``exp(a) - 1`` below 0."""
-    mask = a.value > 0
-    out = np.where(mask, a.value, np.exp(a.value) - 1.0)
+    """ELU with alpha 1: ``exp(a) - 1`` below 0.  The exponential sees
+    only ``min(a, 0)``, so a large entry cannot overflow it."""
+    out = np.exp(np.minimum(a.value, 0.0)) - 1.0 + np.maximum(a.value, 0.0)
     return Tensor(
         out,
         _parents=(a,),
-        _vjps=(lambda g: g * np.where(mask, 1.0, out + 1.0),),
+        _vjps=(lambda g: g * (np.minimum(out, 0.0) + 1.0),),
     )
 
 

@@ -9,9 +9,13 @@ engine, so gradients reach ``x`` and any parameters.  CEpropH is a
 shared-state sum/sum layer, CEpropA the pair-state sum/sum layer, Zprop
 (d - 1) times the pair-state product/sum layer and Hprop its (d - 1)-th
 root.  HGNN, HCHA and HNHN are weighted-sum layers whose pair weights
-and segment scales carry their normalizers (HCHA's attention is a Tensor
-of pair weights), and HyperSAGE is a mean/mean layer between the p-th
-power and the p-th root.  HyperGCN's ``W`` depends on the features, so
+carry every normalizer, per-edge and per-node alike (HCHA's attention is
+a Tensor of pair weights).  Their maps before the nonlinearity are
+linear, so they project first, ``X Theta``, and aggregate ``f_out``
+columns instead of ``f_in``; the printed order differs only by
+rounding.  HyperSAGE is a mean/mean layer between the p-th power and
+the p-th root, and normalizes rows before ``Theta``, so it cannot
+project first.  HyperGCN's ``W`` depends on the features, so
 it aggregates through a view built per forward pass from ``W``'s
 ``(row, column, weight)`` triples, applied to the projected features as
 ``W (X Theta)``.  No layer holds a dense n-by-n matrix.
@@ -115,11 +119,6 @@ def _inverse(a: np.ndarray) -> np.ndarray:
     return np.divide(1.0, a, out=np.zeros(np.shape(a)), where=a != 0)
 
 
-def _linear(params: Dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    """``x Theta + b`` with the ``{prefix}.theta`` and ``.bias`` parameters."""
-    return ad.linear(x, params[f"{prefix}.theta"], params[f"{prefix}.bias"])
-
-
 def init_linear_params(
     rng: np.random.Generator, f_in: int, f_out: int, prefix: str, bias: bool = True
 ) -> Dict[str, Tensor]:
@@ -134,15 +133,19 @@ def init_hgnn_params(rng, f_in: int, f_out: int) -> Dict[str, Tensor]:
 
 
 def hgnn_layer(hg: Hypergraph, x, params: Dict[str, Tensor]) -> Tensor:
-    """Degree-normalized two-stage mean aggregation followed by a linear
-    map and ReLU: an AllSet layer whose v2e pair weights carry the
-    ``1/sqrt(d_u)`` of each member.  Zero-degree nodes emit zero rows."""
+    """``relu(Dv^-1/2 H W De^-1 H^T Dv^-1/2 X Theta + b)``: an AllSet
+    layer of two weighted sums over the projected rows ``X Theta``.  The
+    v2e pair weights are ``w_e / (|e| sqrt(d_u))``, the e2v ones
+    ``1 / sqrt(d_v)``.  Zero-degree nodes emit zero rows."""
+    xt = node_tensor(hg, x)
     inc = hg.incidence
     inv_sqrt = _inverse(np.sqrt(inc.e2v.sizes))
-    layer = AllSetLayer(WeightedSumPool(inv_sqrt[inc.nodes], inc.weights / inc.v2e.sizes),
-                        WeightedSumPool(np.ones(len(inc.nodes)), inv_sqrt))
-    agg = layer.forward(params, hg, x, prefix="hgnn")[1]
-    return ad.mul(ad.relu(_linear(params, "hgnn", agg)), ad.constant(inc.e2v.nonempty))
+    layer = AllSetLayer(
+        WeightedSumPool(inv_sqrt[inc.nodes] * (inc.weights / inc.v2e.sizes)[inc.edges]),
+        WeightedSumPool(inv_sqrt[inc.nodes]),
+    )
+    agg = layer.forward(params, hg, ad.matmul(xt, params["hgnn.theta"]), prefix="hgnn")[1]
+    return ad.mul(ad.relu(ad.add(agg, params["hgnn.bias"])), ad.constant(inc.e2v.nonempty))
 
 
 def init_hcha_params(
@@ -163,8 +166,9 @@ def hcha_layer(
     edge_feats: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Attention-weighted co-member aggregation: an AllSet layer whose
-    two weighted sums share one weight ``alpha`` per incidence pair,
-    followed by a linear map and ELU.
+    two weighted sums share one weight ``alpha`` per incidence pair, over
+    the projected rows ``X Theta``, then a bias and ELU.  The e2v pair
+    weights also carry ``w_e / |e|`` and the receiver's ``1 / d_v``.
 
     Per-incidence attention compares a node's features with its
     hyperedge's features and normalizes across the edges incident to
@@ -193,12 +197,11 @@ def hcha_layer(
     else:
         alpha = ad.constant(inv_deg[pn].reshape(-1, 1))
 
-    # v2e sums alpha_ue X_u; e2v reuses alpha at the (v, e) pairs, times w_e / |e|
-    edge_scale = ad.constant((inc.weights / inc.v2e.sizes)[pe].reshape(-1, 1))
-    layer = AllSetLayer(WeightedSumPool(alpha),
-                        WeightedSumPool(ad.mul(alpha, edge_scale), inv_deg))
-    agg = layer.forward(params, hg, xt, prefix="hcha")[1]
-    return ad.mul(ad.elu(_linear(params, "hcha", agg)), ad.constant(inc.e2v.nonempty))
+    # v2e sums alpha_ue X_u Theta; e2v reuses alpha at the (v, e) pairs
+    norm = ad.constant(((inc.weights / inc.v2e.sizes)[pe] * inv_deg[pn]).reshape(-1, 1))
+    layer = AllSetLayer(WeightedSumPool(alpha), WeightedSumPool(ad.mul(alpha, norm)))
+    agg = layer.forward(params, hg, ad.matmul(xt, params["hcha.theta"]), prefix="hcha")[1]
+    return ad.mul(ad.elu(ad.add(agg, params["hcha.bias"])), ad.constant(inc.e2v.nonempty))
 
 
 def init_hnhn_params(rng, f_in: int, f_edge: int, f_out: int) -> Dict[str, Tensor]:
@@ -215,7 +218,10 @@ def hnhn_layer(
     beta: float = 0.0,
 ) -> tuple:
     """Two half-steps with degree-power reweighting: the two halves of an
-    AllSet layer with a linear map and ReLU after each.
+    AllSet layer with a linear map and ReLU after each.  The edge step
+    projects first and pools ``X Theta_e``; the node step is already
+    ``f_edge`` wide, so it pools then maps.  Pair weights carry each
+    normalizer.
 
     Edge step: hidden edge state from a d_u**beta weighted average of
     member features, normalized by the sum of those powers.  Node step:
@@ -235,12 +241,13 @@ def hnhn_layer(
     size_alpha = np.power(inc.v2e.sizes, alpha)
     pair_w = np.power(deg, alpha, where=deg > 0, out=np.zeros_like(deg))[pn]
     d_vl = np.bincount(pn, weights=pair_w, minlength=hg.n)
-    layer = AllSetLayer(WeightedSumPool(deg_beta[pn], 1.0 / d_el),
-                        WeightedSumPool(size_alpha[pe], _inverse(d_vl)))
-    edge_avg = layer.v2e_forward(params, hg, x, prefix="hnhn")
-    z_out = ad.relu(_linear(params, "hnhn.edge", edge_avg))
+    layer = AllSetLayer(WeightedSumPool(deg_beta[pn] / d_el[pe]),
+                        WeightedSumPool(size_alpha[pe] * _inverse(d_vl)[pn]))
+    projected = ad.matmul(node_tensor(hg, x), params["hnhn.edge.theta"])
+    edge_avg = layer.v2e_forward(params, hg, projected, prefix="hnhn")
+    z_out = ad.relu(ad.add(edge_avg, params["hnhn.edge.bias"]))
     node_avg = layer.e2v_forward(params, hg, z_out, prefix="hnhn")
-    x_out = ad.relu(_linear(params, "hnhn.node", node_avg))
+    x_out = ad.relu(ad.linear(node_avg, params["hnhn.node.theta"], params["hnhn.node.bias"]))
     return z_out, ad.mul(x_out, ad.constant(inc.e2v.nonempty))
 
 

@@ -6,6 +6,7 @@ the package so that no path is checked against itself:
 - loop forms of the fixed rules (CEpropH, CEpropA, Zprop) and a general
   loop over (edge, member) pair states, the reference for the pair-state
   layer variant;
+- the activations in their ``np.where`` form, value and slope;
 - a pool applied to one multiset of rows, through a one-segment view;
 - the set-transformer pool by a loop over segments, on arrays;
 - layer norm as the chain of elementwise and row-sum ops it was before
@@ -99,6 +100,31 @@ def z_prop(hg: Hypergraph, x: np.ndarray, d: int) -> np.ndarray:
     """Zprop: per pair, (d - 1) times the product of the other members'
     rows."""
     return pair_propagate(hg, x, lambda rows: (d - 1) * rows.prod(axis=0))
+
+
+# --- activations as selections --------------------------------------------------
+
+
+def relu(a: np.ndarray) -> tuple:
+    """``(value, slope)``: ``a`` where ``a > 0``, else 0."""
+    mask = a > 0
+    return np.where(mask, a, 0.0), mask * 1.0
+
+
+def leaky_relu(a: np.ndarray) -> tuple:
+    """``(value, slope)``: ``a`` where ``a > 0``, else ``0.2 a``."""
+    mask = a > 0
+    return np.where(mask, a, 0.2 * a), np.where(mask, 1.0, 0.2)
+
+
+def elu(a: np.ndarray) -> tuple:
+    """``(value, slope)``: ``a`` where ``a > 0``, else ``exp(a) - 1``.
+    ``exp`` is taken of every entry, so a large one overflows there,
+    unused; that overflow is silenced here."""
+    mask = a > 0
+    with np.errstate(over="ignore"):
+        out = np.where(mask, a, np.exp(a) - 1.0)
+    return out, np.where(mask, 1.0, out + 1.0)
 
 
 def keep_all_backward(root):

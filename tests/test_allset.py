@@ -71,7 +71,8 @@ class TestFixedPools:
 
     def test_weighted_sum_pool(self):
         hg = from_edge_list(3, [[0, 1], [1, 2]])
-        pool = WeightedSumPool(np.array([1.0, 2.0, 3.0, 4.0]), np.array([10.0, 1.0]))
+        # edge 0's scale of 10 rides on its two pair weights
+        pool = WeightedSumPool(np.array([1.0, 2.0, 3.0, 4.0]) * [10.0, 10.0, 1.0, 1.0])
         x = ad.constant(np.array([[1.0], [1.0], [1.0]]))
         out = pool.aggregate({}, x, hg.incidence.v2e, "w")
         np.testing.assert_array_equal(out.value, [[30.0], [7.0]])

@@ -1,8 +1,10 @@
 import gc
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,6 +156,15 @@ class TestGradients:
         rows = nn.grad_check(lambda: ad.sum_all(ad.mul(op(t), c)), {"t": t})
         assert worst_row(rows)["err"] < 1e-6
 
+    def test_elu_of_large_entries_does_not_overflow(self):
+        t = ad.parameter(np.array([[1000.0, -1000.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.elu(t)
+            rows = nn.grad_check(lambda: ad.sum_all(ad.elu(t)), {"t": t})
+        np.testing.assert_array_equal(out.value, [[1000.0, -1.0]])
+        assert worst_row(rows)["err"] < 1e-6
+
     def test_div_and_broadcast(self):
         rng = np.random.default_rng(13)
         a = ad.parameter(rng.normal(size=(4, 3)))
@@ -263,6 +274,50 @@ class TestGradients:
         assert 0 < kept.sum() < kept.size
         np.testing.assert_array_equal(t.grad[~kept], 0.0)
         np.testing.assert_array_equal(t.grad[kept], 2.0 * c.value[kept])
+
+
+# extremes, subnormals and both zeros; 710 overflows exp, -745 is its last nonzero
+SPECIAL_FLOATS = (0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  -2.2250738585072014e-308, 709.8, 710.0, -745.0, 1e308, -1e308)
+ENTRIES = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False))
+GRADS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and (a.view(np.int64) == b.view(np.int64)).all()
+
+
+class TestActivationsMatchSelections:
+    """The branch-free activations against their ``np.where`` forms in
+    ``oracles``, bit for bit, value and VJP alike."""
+
+    @pytest.mark.parametrize("name", ["relu", "leaky_relu", "elu"])
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(ENTRIES, GRADS), min_size=1, max_size=40))
+    def test_bit_identical_to_the_oracle(self, name, entries):
+        a, g = (np.array(col).reshape(-1, 1) for col in zip(*entries))
+        out = getattr(ad, name)(ad.parameter(a))
+        value, slope = getattr(oracles, name)(a)
+        assert same_bits(out.value, value)
+        assert same_bits(out._vjps[0](g), g * slope)
+
+    @pytest.mark.parametrize("name", ["relu", "leaky_relu", "elu"])
+    def test_bit_identical_on_a_large_array(self, name):
+        # numpy takes vectorized loops on long rows, scalar ones on short
+        rng = np.random.default_rng(31)
+        a = rng.normal(size=(600, 64)) * 10.0 ** rng.integers(-320, 300, size=(600, 64))
+        special = rng.random(a.shape) < 0.05
+        a[special] = rng.choice(SPECIAL_FLOATS, size=special.sum())
+        g = rng.normal(size=a.shape)
+        out = getattr(ad, name)(ad.parameter(a))
+        value, slope = getattr(oracles, name)(a)
+        assert same_bits(out.value, value)
+        assert same_bits(out._vjps[0](g), g * slope)
+
+    def test_relu_propagates_nan(self):
+        """A NaN stays NaN: nothing is coerced silently to 0."""
+        out = ad.relu(ad.constant(np.array([[np.nan, -1.0, 2.0]])))
+        assert np.isnan(out.value[0, 0]) and out.value[0, 1:].tolist() == [0.0, 2.0]
 
 
 class TestLinear:
