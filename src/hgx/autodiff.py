@@ -1,9 +1,22 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
 Every value is a 2-D float64 array (scalars are 1x1, vectors are single
-rows).  An operation whose result needs a gradient records its inputs
-and a vector-Jacobian closure per input; a result of constants records
-nothing.  ``Tensor.backward`` walks the recorded graph once in reverse
+rows).  An operation whose result needs a gradient records a tape node
+for it: the graph entries of its inputs and a vector-Jacobian closure
+per input.  A result of constants records nothing.
+
+The tape holds no values.  A node refers to its inputs' nodes, not to
+their tensors, and each VJP closes over just the arrays and shapes it
+reads (``mul`` keeps its operands, ``relu`` its mask, ``add`` only
+shapes).  The VJP slot of a constant input is ``None``, so whatever
+that closure would have read is not kept either.  An intermediate
+value is therefore freed as soon as the caller drops its ``Tensor``,
+unless some VJP reads it; only parameters are graph entries of their
+own.  Those arrays are the forward's: rebinding ``w.value`` after the
+forward does not change the gradients its backward computes (writing
+into the array in place does).
+
+``Tensor.backward`` walks the recorded graph once in reverse
 topological order and frees each intermediate gradient once it has
 reached the node's parents, so afterwards only leaves hold ``.grad``; a
 second backward over the same graph adds the same gradients to them
@@ -48,6 +61,10 @@ class NonScalarOutputError(ValueError):
     pass
 
 
+class NoTapeError(ValueError):
+    pass
+
+
 def _as_matrix(value: ArrayLike) -> np.ndarray:
     a = np.asarray(value, dtype=np.float64)
     if a.ndim == 0:
@@ -59,11 +76,30 @@ def _as_matrix(value: ArrayLike) -> np.ndarray:
     return a
 
 
-class Tensor:
-    """A node in the computation graph: a value, an optional gradient
-    buffer, and backward closures toward its parents."""
+class _Node:
+    """An op result's entry in the tape: the graph entries of its parents
+    (a parent's ``_Node``, a leaf ``Tensor`` itself, or ``None`` for a
+    constant), one VJP per parent (``None`` for a constant) and the
+    gradient buffer that ``backward`` fills and frees.  No value."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjps")
+    __slots__ = ("parents", "vjps", "grad")
+
+    def __init__(self, parents: tuple, vjps: tuple):
+        self.parents = parents
+        self.vjps = vjps
+        self.grad: Optional[np.ndarray] = None
+
+
+class Tensor:
+    """A value and its place in the graph.  A leaf (``requires_grad``
+    and recorded by no op, i.e. a parameter) is its own graph entry and
+    collects ``.grad``; an op result that needs a gradient records a
+    ``_Node`` holding its VJPs and its gradient buffer, so its ``.grad``
+    stays ``None``; a constant records nothing.  The node does not
+    refer back to the tensor, so the value lives only as long as the
+    tensor does, or as long as a VJP that reads it."""
+
+    __slots__ = ("value", "grad", "requires_grad", "_node")
 
     def __init__(
         self,
@@ -74,49 +110,78 @@ class Tensor:
     ):
         self.value = _as_matrix(value)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad) or any(
-            p.requires_grad for p in _parents
-        )
-        # backward never walks past a constant, so a constant keeps no tape
-        self._parents, self._vjps = (_parents, _vjps) if self.requires_grad else ((), ())
+        self._node: Optional[_Node] = None
+        self.requires_grad = bool(requires_grad)
+        # backward never walks past a constant, so a constant keeps no
+        # tape, and a constant parent neither an entry nor a VJP
+        if _parents and any(p.requires_grad for p in _parents):
+            self.requires_grad = True
+            self._node = _Node(
+                tuple((p if p._node is None else p._node) if p.requires_grad else None
+                      for p in _parents),
+                tuple(v if p.requires_grad else None for p, v in zip(_parents, _vjps)),
+            )
 
     @property
     def shape(self) -> tuple:
         return self.value.shape
 
+    @property
+    def _vjps(self) -> tuple:
+        """The recorded VJPs, one per parent; ``()`` without a node."""
+        return () if self._node is None else self._node.vjps
+
+    @_vjps.setter
+    def _vjps(self, vjps) -> None:
+        vjps = tuple(vjps)
+        if self._node is not None:
+            self._node.vjps = vjps
+        elif vjps:
+            raise NoTapeError("a tensor that records no tape takes no VJPs")
+
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable
         ``requires_grad`` leaf.  Visits each node exactly once, in reverse
-        topological order of construction, and sets a node's ``.grad``
+        topological order of construction, and sets a node's gradient
         back to ``None`` once it has gone to the node's parents: only
         leaves keep theirs, and calling ``backward`` again adds the same
-        gradients to them a second time."""
+        gradients to them a second time.  A tensor that requires no
+        gradient records no tape, so its ``backward`` raises
+        ``NoTapeError``."""
+        if not self.requires_grad:
+            raise NoTapeError(
+                "backward() of a tensor that records no tape: no parameter reaches it"
+            )
         if self.value.size != 1:
             raise NonScalarOutputError(
                 f"backward() needs a scalar output, got shape {self.shape}"
             )
+        root = self._node
+        if root is None:  # a leaf: its own gradient is one
+            self.grad = np.ones_like(self.value) if self.grad is None else self.grad + 1.0
+            return
         topo: list = []
         seen = set()
-        stack: list = [(self, False)]
+        stack: list = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+            for p in node.parents:
+                if type(p) is _Node and p not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.value)
+        root.grad = np.ones_like(self.value)
         for node in reversed(topo):
             g = node.grad
             if g is None:
                 continue
-            for parent, vjp in zip(node._parents, node._vjps):
-                if not parent.requires_grad:
+            for parent, vjp in zip(node.parents, node.vjps):
+                if parent is None:
                     continue
                 contrib = vjp(g)
                 if parent.grad is not None:
@@ -127,8 +192,7 @@ class Tensor:
                     parent.grad = contrib.copy()
                 else:
                     parent.grad = contrib
-            if node._parents:
-                node.grad = None
+            node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -177,49 +241,55 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
+    sa, sb = a.shape, b.shape
+    _check_broadcast(sa, sb)
     return Tensor(
         a.value + b.value,
         _parents=(a, b),
         _vjps=(
-            lambda g: _reduce_to(g, a.shape),
-            lambda g: _reduce_to(g, b.shape),
+            lambda g: _reduce_to(g, sa),
+            lambda g: _reduce_to(g, sb),
         ),
     )
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
+    sa, sb = a.shape, b.shape
+    _check_broadcast(sa, sb)
     return Tensor(
         a.value - b.value,
         _parents=(a, b),
         _vjps=(
-            lambda g: _reduce_to(g, a.shape),
-            lambda g: _reduce_to(-g, b.shape),
+            lambda g: _reduce_to(g, sa),
+            lambda g: _reduce_to(-g, sb),
         ),
     )
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
+    av, bv = a.value, b.value
+    sa, sb = av.shape, bv.shape
+    _check_broadcast(sa, sb)
     return Tensor(
-        a.value * b.value,
+        av * bv,
         _parents=(a, b),
         _vjps=(
-            lambda g: _reduce_to(g * b.value, a.shape),
-            lambda g: _reduce_to(g * a.value, b.shape),
+            lambda g: _reduce_to(g * bv, sa),
+            lambda g: _reduce_to(g * av, sb),
         ),
     )
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
+    av, bv = a.value, b.value
+    sa, sb = av.shape, bv.shape
+    _check_broadcast(sa, sb)
     return Tensor(
-        a.value / b.value,
+        av / bv,
         _parents=(a, b),
         _vjps=(
-            lambda g: _reduce_to(g / b.value, a.shape),
-            lambda g: _reduce_to(-g * a.value / (b.value * b.value), b.shape),
+            lambda g: _reduce_to(g / bv, sa),
+            lambda g: _reduce_to(-g * av / (bv * bv), sb),
         ),
     )
 
@@ -234,7 +304,8 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    return Tensor(np.log(a.value), _parents=(a,), _vjps=(lambda g: g / a.value,))
+    av = a.value
+    return Tensor(np.log(av), _parents=(a,), _vjps=(lambda g: g / av,))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -244,11 +315,11 @@ def sqrt(a: Tensor) -> Tensor:
 
 def power(a: Tensor, p: float) -> Tensor:
     """Elementwise real power; non-integer p requires nonnegative input."""
-    out = np.power(a.value, p)
+    av = a.value
     return Tensor(
-        out,
+        np.power(av, p),
         _parents=(a,),
-        _vjps=(lambda g: g * p * np.power(a.value, p - 1.0),),
+        _vjps=(lambda g: g * p * np.power(av, p - 1.0),),
     )
 
 
@@ -285,12 +356,13 @@ def elu(a: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul {a.shape} @ {b.shape}")
+    av, bv = a.value, b.value
     return Tensor(
-        a.value @ b.value,
+        av @ bv,
         _parents=(a, b),
         _vjps=(
-            lambda g: g @ b.value.T,
-            lambda g: a.value.T @ g,
+            lambda g: g @ bv.T,
+            lambda g: av.T @ g,
         ),
     )
 
@@ -302,42 +374,46 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(f"linear {x.shape} @ {w.shape}")
     if b.shape != (1, w.shape[1]):
         raise ShapeMismatchError(f"bias {b.shape} for {w.shape[1]} output columns")
-    out = x.value @ w.value
+    xv, wv = x.value, w.value
+    out = xv @ wv
     out += b.value
     return Tensor(
         out,
         _parents=(x, w, b),
         _vjps=(
-            lambda g: g @ w.value.T,
-            lambda g: x.value.T @ g,
+            lambda g: g @ wv.T,
+            lambda g: xv.T @ g,
             lambda g: g.sum(axis=0, keepdims=True),
         ),
     )
 
 
 def sum_all(a: Tensor) -> Tensor:
+    shape = a.shape
     return Tensor(
         np.array([[a.value.sum()]]),
         _parents=(a,),
-        _vjps=(lambda g: np.full(a.shape, g[0, 0]),),
+        _vjps=(lambda g: np.full(shape, g[0, 0]),),
     )
 
 
 def row_sum(a: Tensor) -> Tensor:
     """Sum along each row, yielding an (n, 1) column."""
+    shape = a.shape
     return Tensor(
         a.value.sum(axis=1, keepdims=True),
         _parents=(a,),
-        _vjps=(lambda g: np.broadcast_to(g, a.shape).copy(),),
+        _vjps=(lambda g: np.broadcast_to(g, shape).copy(),),
     )
 
 
 def col_sum(a: Tensor) -> Tensor:
     """Sum along each column, yielding a (1, m) row."""
+    shape = a.shape
     return Tensor(
         a.value.sum(axis=0, keepdims=True),
         _parents=(a,),
-        _vjps=(lambda g: np.broadcast_to(g, a.shape).copy(),),
+        _vjps=(lambda g: np.broadcast_to(g, shape).copy(),),
     )
 
 
@@ -364,9 +440,10 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
     """Contiguous column slice ``a[:, lo:hi]``."""
     if not (0 <= lo < hi <= a.shape[1]):
         raise ShapeMismatchError(f"slice [{lo}:{hi}] out of range for {a.shape}")
+    shape = a.shape
 
     def vjp(g):
-        out = np.zeros_like(a.value)
+        out = np.zeros(shape)
         out[:, lo:hi] = g
         return out
 
@@ -378,12 +455,13 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     gradients in pair order.  ``idx`` is checked by
     :func:`~hgx.hypergraph.id_array`: ids that are not integers, or lie
     outside ``[0, rows)`` (negative ones included), raise ``ValueError``."""
-    idx = id_array(idx, a.shape[0], "row")
+    rows = a.shape[0]
+    idx = id_array(idx, rows, "row")
     p = len(idx)
 
     def vjp(g):  # one entry per column: a scatter without a sort
         cols = np.arange(p + 1)
-        return sparse.csc_array((np.ones(p), idx, cols), shape=(a.shape[0], p)) @ g
+        return sparse.csc_array((np.ones(p), idx, cols), shape=(rows, p)) @ g
 
     return Tensor(a.value[idx], _parents=(a,), _vjps=(vjp,))
 
@@ -424,12 +502,14 @@ def segment_sum(x: Tensor, view, weights=None) -> Tensor:
         n = a.shape[0] // k
         return a.reshape(k, n, width).swapaxes(0, 1).reshape(n, k * width)
 
+    xv, seg, src = x.value, view.seg, view.src
+
     def dw(g):
-        prod = g[view.seg]
-        prod *= x.value[view.src]
+        prod = g[seg]
+        prod *= xv[src]
         return prod.reshape(len(prod), k, width).sum(axis=2)
 
-    return Tensor(unstacked(blocks @ stacked(x.value)), _parents=(x, w),
+    return Tensor(unstacked(blocks @ stacked(xv)), _parents=(x, w),
                   _vjps=(lambda g: unstacked(blocks.T @ stacked(g)), dw))
 
 
@@ -466,13 +546,12 @@ def segment_prod(a: Tensor, view) -> Tensor:
     """Columnwise product of the pair rows ``a`` (one per pair of
     ``view``) within each segment.  Empty segments yield ones (callers
     mask them when a zero row is wanted)."""
-    m, seg = view.pairs, view.seg
-    out = _segment_reduce(np.multiply, a.value, m, 1.0)
+    av, m, seg = a.value, view.pairs, view.seg
 
     def vjp(g):
-        return g[seg] * _leave_one_out_prod(a.value, seg, m)
+        return g[seg] * _leave_one_out_prod(av, seg, m)
 
-    return Tensor(out, _parents=(a,), _vjps=(vjp,))
+    return Tensor(_segment_reduce(np.multiply, av, m, 1.0), _parents=(a,), _vjps=(vjp,))
 
 
 def segment_softmax(a: Tensor, view) -> Tensor:

@@ -101,16 +101,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = (centered * centered).sum(axis=1, keepdims=True) * scale
     inv_std = 1.0 / np.sqrt(var + 1e-5)
     normalized = np.multiply(centered, inv_std, out=centered)
+    gv = gain.value
 
     def dx(g):
-        d = g * gain.value
+        d = g * gv
         dn_mean = (d * normalized).sum(axis=1, keepdims=True) * scale
         d -= d.sum(axis=1, keepdims=True) * scale
         d -= normalized * dn_mean
         d *= inv_std
         return d
 
-    out = normalized * gain.value
+    out = normalized * gv
     out += bias.value
     return Tensor(
         out,

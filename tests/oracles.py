@@ -128,31 +128,42 @@ def elu(a: np.ndarray) -> tuple:
 
 
 def keep_all_backward(root):
-    """``(node, gradient)`` for every node that the backward of the scalar
-    ``root`` visits, from a reverse walk that keeps each buffer: a node's
-    gradient starts at zeros and each contribution is added to it.  The
-    walk visits nodes in the order ``Tensor.backward`` does, so the sums
-    are bit-identical to its own."""
-    topo, seen, stack = [], set(), [(root, False)]
+    """``(entry, gradient)`` for every graph entry that the backward of
+    the scalar ``root`` visits: the ``_Node`` of each recorded op result
+    and each leaf ``Tensor`` itself.  A reverse walk that keeps each
+    buffer: an entry's gradient starts at zeros and each contribution is
+    added to it, and every contribution to an entry must have one shape,
+    a leaf's that of its value.  The walk visits entries in the order
+    ``Tensor.backward`` does, so the sums are bit-identical to its own."""
+
+    def edges(entry):  # (parent entry, VJP) toward each parent that needs a gradient
+        if not isinstance(entry, ad._Node):
+            return []
+        return [(p, vjp) for p, vjp in zip(entry.parents, entry.vjps) if p is not None]
+
+    start = root._node
+    topo, seen, stack = [], set(), [(start, False)]
     while stack:
-        node, expanded = stack.pop()
+        entry, expanded = stack.pop()
         if expanded:
-            topo.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((p, False) for p in node._parents
-                         if p.requires_grad and id(p) not in seen)
-    grads = {id(root): np.ones_like(root.value)}
-    for node in reversed(topo):
-        g = grads.get(id(node))
+            topo.append(entry)
+        elif id(entry) not in seen:
+            seen.add(id(entry))
+            stack.append((entry, True))
+            stack.extend((p, False) for p, _ in edges(entry) if id(p) not in seen)
+    grads = {id(start): np.ones_like(root.value)}
+    for entry in reversed(topo):
+        g = grads.get(id(entry))
         if g is None:
             continue
-        for parent, vjp in zip(node._parents, node._vjps):
-            if parent.requires_grad:
-                grads.setdefault(id(parent), np.zeros_like(parent.value))
-                grads[id(parent)] += vjp(g)
-    return [(node, grads.get(id(node))) for node in topo]
+        for parent, vjp in edges(entry):
+            contrib = vjp(g)
+            if id(parent) not in grads:
+                shape = parent.shape if isinstance(parent, ad.Tensor) else contrib.shape
+                grads[id(parent)] = np.zeros(shape)
+            assert contrib.shape == grads[id(parent)].shape
+            grads[id(parent)] += contrib
+    return [(entry, grads.get(id(entry))) for entry in topo]
 
 
 def worst_row(rows):

@@ -196,13 +196,13 @@ class TestSetTransformerOracle:
 
 
 def tape_nodes(out):
-    """The recorded nodes (tensors with parents) reachable from ``out``."""
-    seen, stack = {}, [out]
+    """The recorded nodes (op results' tape entries) reachable from ``out``."""
+    seen, stack = {}, [out._node]
     while stack:
         node = stack.pop()
-        if node._parents and id(node) not in seen:
+        if isinstance(node, ad._Node) and id(node) not in seen:
             seen[id(node)] = node
-            stack.extend(node._parents)
+            stack.extend(node.parents)
     return len(seen)
 
 

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import types
 import warnings
 import weakref
 
@@ -10,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgx import autodiff as ad
-from hgx import nn
+from hgx import nn, rules
 from hgx.allset import AllSetLayer, AllSetNetwork, DeepSetsPool, SetTransformerPool
 from hgx.autodiff import Tensor
-from hgx.hypergraph import segment_view
+from hgx.hypergraph import from_edge_list, segment_view
 from hgx.nn import MlpSpec
 from oracles import hypergraphs_with_features, keep_all_backward, random_hypergraph, worst_row
 
@@ -356,17 +357,139 @@ class TestLinear:
 
 
 class TestTape:
+    """The tape holds graph entries and VJPs, not values: an op result's
+    node refers to its inputs' nodes, each VJP closes over the arrays it
+    reads, and a constant input's VJP slot is ``None``.  So a value that
+    no VJP reads is freed as soon as the caller drops its tensor.
+    ``Tensor`` has ``__slots__`` and no weakref slot, so the weakrefs
+    below point at values."""
+
     def test_results_of_constants_keep_no_tape(self):
         a = ad.constant(np.ones((2, 2)))
         mid = ad.exp(a)
         out = ad.mul(mid, a)
         assert not out.requires_grad
-        assert out._parents == () and out._vjps == ()
-        freed = weakref.ref(mid.value)  # Tensor has __slots__ and no weakref slot
+        assert out._node is None and out._vjps == ()
+        out._vjps = ()  # as a tracer that wraps every VJP does
+        with pytest.raises(ad.NoTapeError):
+            out._vjps = (lambda g: g,)
+        freed = weakref.ref(mid.value)
         del mid
         gc.collect()
         assert freed() is None  # the result does not hold its constant inputs
         np.testing.assert_array_equal(out.value, np.e)
+
+    @staticmethod
+    def _built(make, keep):
+        """``make(mark)`` builds ``(out, params)`` and passes one
+        intermediate through ``mark``.  Return a weakref to that
+        intermediate's value, ``keep`` deciding whether the caller holds
+        on to the tensor, and the parameters' gradients of ``sum(out)``."""
+        marked = []
+
+        def mark(t):
+            marked.append(t)
+            return t
+
+        out, params = make(mark)
+        ref = weakref.ref(marked[0].value)
+        if not keep:
+            marked.clear()
+        gc.collect()
+        alive = ref() is not None
+        ad.sum_all(out).backward()
+        return alive, [t.grad for t in params]
+
+    @staticmethod
+    def _linear_relu(mark):
+        rng = np.random.default_rng(40)
+        w, b = ad.parameter(rng.normal(size=(4, 3))), ad.parameter(rng.normal(size=(1, 3)))
+        x = ad.constant(rng.normal(size=(5, 4)))
+        return ad.relu(mark(ad.linear(x, w, b))), [w, b]
+
+    @staticmethod
+    def _add_layer_norm(mark):
+        rng = np.random.default_rng(41)
+        p, q, gain, bias = (ad.parameter(rng.normal(size=s))
+                            for s in ((5, 4), (1, 4), (1, 4), (1, 4)))
+        return nn.layer_norm(mark(ad.add(p, q)), gain, bias), [p, q, gain, bias]
+
+    @staticmethod
+    def _mul_by_constant(mark):
+        rng = np.random.default_rng(42)
+        p, q = ad.parameter(rng.normal(size=(5, 4))), ad.parameter(rng.normal(size=(5, 4)))
+        return ad.mul(mark(ad.add(p, q)), ad.constant(rng.normal(size=(5, 4)))), [p, q]
+
+    @staticmethod
+    def _mul_by_parameter(mark):  # the control: ``mul`` reads x to give w's gradient
+        rng = np.random.default_rng(42)
+        p, q = ad.parameter(rng.normal(size=(5, 4))), ad.parameter(rng.normal(size=(5, 4)))
+        w = ad.parameter(rng.normal(size=(5, 4)))
+        return ad.mul(mark(ad.add(p, q)), w), [p, q, w]
+
+    @pytest.mark.parametrize("make", ["_linear_relu", "_add_layer_norm", "_mul_by_constant"])
+    def test_a_value_no_vjp_reads_is_freed_when_dropped(self, make):
+        alive, grads = self._built(getattr(self, make), keep=False)
+        assert not alive
+        # and the backward is the one of a graph whose caller kept it
+        _, want = self._built(getattr(self, make), keep=True)
+        for got, w in zip(grads, want):
+            assert np.array_equal(got, w)
+
+    def test_a_value_a_vjp_reads_is_kept(self):
+        alive, _ = self._built(self._mul_by_parameter, keep=False)
+        assert alive
+
+    def test_a_chain_retains_its_masks_not_its_values(self):
+        rng = np.random.default_rng(0)
+        x = ad.parameter(rng.normal(size=(2000, 64)))
+        row = ad.parameter(rng.normal(size=(1, 64)))
+        buffer = x.value.nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            h = x
+            for _ in range(30):
+                h = ad.relu(ad.add(h, row))
+            out = ad.sum_all(h)
+            del h
+            gc.collect()
+            retained = (tracemalloc.get_traced_memory()[0] - base) / buffer
+        finally:
+            tracemalloc.stop()
+        # 30 boolean masks are 3.75 buffers; keeping every sum and every
+        # relu output would be 60 more
+        assert retained < 6
+        out.backward()
+        assert x.grad.shape == x.shape and row.grad.shape == row.shape
+
+    def test_vjps_read_the_forward_arrays(self):
+        rng = np.random.default_rng(43)
+        x, w = ad.parameter(rng.normal(size=(5, 4))), ad.parameter(rng.normal(size=(4, 3)))
+        c = ad.constant(rng.normal(size=(5, 3)))
+        ad.sum_all(ad.mul(ad.matmul(x, w), c)).backward()
+        want = [x.grad.copy(), w.grad.copy()]
+        ad.zero_grads([x, w])
+        out = ad.sum_all(ad.mul(ad.matmul(x, w), c))
+        w.value = rng.normal(size=(4, 3))  # rebound between forward and backward
+        out.backward()
+        assert np.array_equal(x.grad, want[0]) and np.array_equal(w.grad, want[1])
+
+    @pytest.mark.parametrize("make", [
+        lambda: ad.constant(3.0),
+        lambda: ad.sum_all(ad.exp(ad.constant(np.ones((2, 2))))),
+    ])
+    def test_backward_without_a_tape_raises(self, make):
+        out = make()
+        with pytest.raises(ad.NoTapeError):
+            out.backward()
+        assert out.grad is None
+
+    def test_a_leaf_is_its_own_gradient(self):
+        x = ad.parameter(2.0)
+        x.backward()
+        x.backward()
+        np.testing.assert_array_equal(x.grad, [[2.0]])
 
 
 def network_loss(pool, seed):
@@ -387,6 +510,79 @@ POOLS = {
     "deepsets": lambda: DeepSetsPool(MlpSpec((8, 8, 8)), MlpSpec((8, 8))),
     "settransformer": lambda: SetTransformerPool(heads=2, head_dim=4),
 }
+
+
+def rules_loss(seed):
+    """The five classical rule layers, width 8, each with its own linear
+    head: their summed training loss on a random hypergraph, and their
+    parameters."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 21))
+    # HyperGCN needs two members in every edge
+    hg = from_edge_list(n, [rng.choice(n, size=rng.integers(2, 6), replace=False).tolist()
+                            for _ in range(rng.integers(1, 13))])
+    x = rng.normal(size=(hg.n, 5))
+    params = {**rules.init_hgnn_params(rng, 5, 8), **rules.init_hcha_params(rng, 5, 8),
+              **rules.init_hnhn_params(rng, 5, 8, 8), **rules.init_hypergcn_params(rng, 5, 8),
+              **rules.init_hypersage_params(rng, 5, 8)}
+    hidden = [rules.hgnn_layer(hg, x, params), rules.hcha_layer(hg, x, params),
+              rules.hnhn_layer(hg, x, params)[1], rules.hypergcn_layer(hg, x, params),
+              rules.hypersage_layer(hg, x, params, p=1)]
+    head = MlpSpec((8, 3), activation="identity")
+    labels = rng.integers(0, 3, size=hg.n)
+    loss = None
+    for i, h in enumerate(hidden):
+        params.update(nn.init_mlp_params(head, rng, f"head{i}"))
+        term = nn.cross_entropy_loss(nn.mlp_forward(head, params, h, f"head{i}"),
+                                     labels, np.arange(hg.n))
+        loss = term if loss is None else ad.add(loss, term)
+    return loss, params
+
+
+def captured(fn):
+    """Everything the closure cells and defaults of ``fn`` hold, through
+    the functions among them."""
+    out, stack, seen = [], [fn], set()
+    while stack:
+        f = stack.pop()
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        for v in [c.cell_contents for c in f.__closure__ or ()] + list(f.__defaults__ or ()):
+            out.append(v)
+            if isinstance(v, types.FunctionType):
+                stack.append(v)
+    return out
+
+
+class TestTapeHoldsNoTensors:
+    """The recorded graph of each model family refers to no op result's
+    tensor: nodes point at nodes and leaves, and no VJP closes over a
+    ``Tensor``, so every value in the tape is one a VJP reads."""
+
+    @pytest.mark.parametrize("model", [*sorted(POOLS), "rules"])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_no_vjp_captures_a_tensor(self, model, seed):
+        loss, params = rules_loss(seed) if model == "rules" else network_loss(POOLS[model], seed)
+        nodes, stack = {}, [loss._node]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(p for p in node.parents if isinstance(p, ad._Node))
+        leaves = {id(t) for t in params.values()}
+        vjps = 0
+        for node in nodes.values():
+            assert len(node.parents) == len(node.vjps)
+            for parent, vjp in zip(node.parents, node.vjps):
+                assert (parent is None) == (vjp is None)
+                if isinstance(parent, Tensor):
+                    assert id(parent) in leaves
+                if vjp is not None:
+                    vjps += 1
+                    assert not [v for v in captured(vjp) if isinstance(v, Tensor)]
+        assert vjps >= len(nodes)
 
 
 class TestBackwardReleasesGradients:
@@ -418,8 +614,8 @@ class TestBackwardReleasesGradients:
         loss, params = network_loss(POOLS[pool], 1)
         want = keep_all_backward(loss)
         loss.backward()
-        assert [t for t, _ in want if t._parents and t.grad is not None] == []
-        leaves = [(t, g) for t, g in want if not t._parents]
+        assert [e for e, _ in want if isinstance(e, ad._Node) and e.grad is not None] == []
+        leaves = [(t, g) for t, g in want if isinstance(t, Tensor)]
         assert {id(t) for t in params.values()} <= {id(t) for t, _ in leaves}
         for t, g in leaves:
             np.testing.assert_array_equal(t.grad, g)
