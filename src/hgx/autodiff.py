@@ -17,10 +17,14 @@ forward does not change the gradients its backward computes (writing
 into the array in place does).
 
 ``Tensor.backward`` walks the recorded graph once in reverse
-topological order and frees each intermediate gradient once it has
-reached the node's parents, so afterwards only leaves hold ``.grad``; a
-second backward over the same graph adds the same gradients to them
-again.
+topological order and consumes it: once a node's gradient has reached
+its parents, the node drops that gradient and its VJPs, and with them
+every array those VJPs read.  Afterwards only leaves hold ``.grad``,
+and the tape holds no arrays even while the loss is still referenced,
+so a step's peak is the forward's tape, not the tape plus the
+gradients in flight.  A second backward whose graph reaches a consumed
+node raises :class:`ConsumedTapeError` before any gradient changes;
+build the loss again to differentiate again.
 
 A few hot paths are one node each, with an analytic VJP per input,
 instead of a chain of small ops: :func:`linear` (``x @ w + b``), the
@@ -65,6 +69,10 @@ class NoTapeError(ValueError):
     pass
 
 
+class ConsumedTapeError(NoTapeError):
+    """A backward reached a node that an earlier backward consumed."""
+
+
 def _as_matrix(value: ArrayLike) -> np.ndarray:
     a = np.asarray(value, dtype=np.float64)
     if a.ndim == 0:
@@ -80,7 +88,8 @@ class _Node:
     """An op result's entry in the tape: the graph entries of its parents
     (a parent's ``_Node``, a leaf ``Tensor`` itself, or ``None`` for a
     constant), one VJP per parent (``None`` for a constant) and the
-    gradient buffer that ``backward`` fills and frees.  No value."""
+    gradient buffer that ``backward`` fills and frees.  No value.  The
+    backward that consumes the node sets all three to ``None``."""
 
     __slots__ = ("parents", "vjps", "grad")
 
@@ -97,7 +106,9 @@ class Tensor:
     ``_Node`` holding its VJPs and its gradient buffer, so its ``.grad``
     stays ``None``; a constant records nothing.  The node does not
     refer back to the tensor, so the value lives only as long as the
-    tensor does, or as long as a VJP that reads it."""
+    tensor does, or until the VJPs that read it have run in a
+    backward.  After ``backward`` the tape holds no arrays: only the
+    leaves' ``.grad`` and the values of tensors still referenced."""
 
     __slots__ = ("value", "grad", "requires_grad", "_node")
 
@@ -128,7 +139,8 @@ class Tensor:
 
     @property
     def _vjps(self) -> tuple:
-        """The recorded VJPs, one per parent; ``()`` without a node."""
+        """The recorded VJPs, one per parent; ``()`` without a node,
+        ``None`` once a backward has consumed the node."""
         return () if self._node is None else self._node.vjps
 
     @_vjps.setter
@@ -141,13 +153,19 @@ class Tensor:
 
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable
-        ``requires_grad`` leaf.  Visits each node exactly once, in reverse
-        topological order of construction, and sets a node's gradient
-        back to ``None`` once it has gone to the node's parents: only
-        leaves keep theirs, and calling ``backward`` again adds the same
-        gradients to them a second time.  A tensor that requires no
-        gradient records no tape, so its ``backward`` raises
-        ``NoTapeError``."""
+        ``requires_grad`` leaf, visiting each node once in reverse
+        topological order of construction.  The walk consumes the graph:
+        once a node's gradient has gone to its parents, the node drops
+        it, its VJPs and its parent links, which frees the arrays those
+        VJPs read while backward proceeds.  Only leaves keep ``.grad``.
+
+        A backward that reaches a consumed node raises
+        ``ConsumedTapeError`` before any VJP runs, so no ``.grad``
+        changes.  There is no option to keep the tape: every caller runs
+        one backward per forward, and a second pass would read parameter
+        arrays that an optimizer step may have rewritten in place.  A
+        tensor that requires no gradient records no tape, so its
+        ``backward`` raises ``NoTapeError``."""
         if not self.requires_grad:
             raise NoTapeError(
                 "backward() of a tensor that records no tape: no parameter reaches it"
@@ -170,6 +188,11 @@ class Tensor:
                 continue
             if node in seen:
                 continue
+            if node.vjps is None:
+                raise ConsumedTapeError(
+                    "backward() reached a node that an earlier backward() consumed; "
+                    "build the loss again from the parameters to differentiate again"
+                )
             seen.add(node)
             stack.append((node, True))
             for p in node.parents:
@@ -178,8 +201,6 @@ class Tensor:
         root.grad = np.ones_like(self.value)
         for node in reversed(topo):
             g = node.grad
-            if g is None:
-                continue
             for parent, vjp in zip(node.parents, node.vjps):
                 if parent is None:
                     continue
@@ -192,7 +213,7 @@ class Tensor:
                     parent.grad = contrib.copy()
                 else:
                     parent.grad = contrib
-            node.grad = None
+            node.grad = node.vjps = node.parents = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -30,7 +30,14 @@ class AdamState:
     def step(self, params: Dict[str, Tensor]) -> None:
         """Apply one update in place; parameters with no gradient are
         treated as having a zero gradient.  A parameter this state was
-        not built with raises ``ValueError`` before anything changes."""
+        not built with raises ``ValueError`` before anything changes.
+
+        The update writes into each parameter's array, which the VJPs of
+        any graph built from it read.  A graph whose backward already ran
+        is consumed, so a second backward raises rather than use the
+        stepped weights.  One case stays silent: a graph recorded before
+        the step whose first backward runs after it gets gradients that
+        mix the forward's inputs with the stepped weights."""
         unknown = next((name for name in params if name not in self.m), None)
         if unknown is not None:
             raise ValueError(f"parameter {unknown!r} is not one this AdamState was built with")

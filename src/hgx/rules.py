@@ -360,6 +360,8 @@ def hypersage_layer(hg: Hypergraph, x, params: Dict[str, Tensor], p: int = 1) ->
     node_mean = _HYPERSAGE.forward({}, hg, xp, prefix="hypersage")[1]
     pooled = node_mean if p == 1 else _root(node_mean, p)
     x_star = ad.add(pooled, xt)
+    # no VJP reads these full-width values: free them before the rest of the forward
+    del xp, node_mean, pooled
     norm = ad.sqrt(ad.row_sum(ad.mul(x_star, x_star)))
     if (norm.value == 0).any():
         raise ZeroNormRowError("row with zero norm before normalization")

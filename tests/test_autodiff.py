@@ -1,4 +1,5 @@
 import gc
+import sys
 import tracemalloc
 import types
 import warnings
@@ -492,18 +493,26 @@ class TestTape:
         np.testing.assert_array_equal(x.grad, [[2.0]])
 
 
-def network_loss(pool, seed):
-    """A two-layer AllSet network of ``pool()`` pools, width 8: its
-    training loss on a random hypergraph, and its parameters."""
+def network_builder(pool, seed, n_max=20, m_max=12):
+    """A two-layer AllSet network of ``pool()`` pools, width 8, on a
+    random hypergraph: a function that builds its training loss from the
+    current parameter values, and its parameters."""
     rng = np.random.default_rng(seed)
-    hg = random_hypergraph(rng, n_max=20, m_max=12)
+    hg = random_hypergraph(rng, n_max=n_max, m_max=m_max)
     x = rng.normal(size=(hg.n, 5))
     layers = [AllSetLayer(pool(), pool()) for _ in range(2)]
     net = AllSetNetwork(5, 3, layers, input_proj=MlpSpec((5, 8)))
     params = net.init_params(rng)
     labels = rng.integers(0, 3, size=hg.n)
-    loss = nn.cross_entropy_loss(net.forward(params, hg, x), labels, np.arange(hg.n))
-    return loss, params
+    return (lambda: nn.cross_entropy_loss(net.forward(params, hg, x), labels,
+                                          np.arange(hg.n))), params
+
+
+def network_loss(pool, seed):
+    """The training loss of ``network_builder(pool, seed)``, and its
+    parameters."""
+    build, params = network_builder(pool, seed)
+    return build(), params
 
 
 POOLS = {
@@ -589,23 +598,35 @@ class TestBackwardReleasesGradients:
     """After ``backward`` only leaves hold ``.grad``; the intermediate
     buffers are freed as soon as they have reached their parents."""
 
-    def test_second_backward_adds_the_same_gradients_again(self):
+    def test_second_backward_raises_and_leaves_every_gradient_as_it_was(self):
         x = ad.parameter(np.array([[1.0, -2.0]]))
-        z = ad.sum_all(ad.mul(x, ad.constant(3.0)))
+        w = ad.parameter(np.array([[0.5, 4.0]]))
+        u = ad.parameter(np.array([[3.0, -1.0]]))
+        shared = ad.mul(x, w)
+        z = ad.sum_all(ad.mul(shared, ad.constant(3.0)))
+        # a second root that shares only ``shared`` with the first: its
+        # walk meets its own, unconsumed ``exp`` node before the consumed one
+        other = ad.sum_all(ad.add(shared, ad.exp(u)))
         z.backward()
-        np.testing.assert_array_equal(x.grad, [[3.0, 3.0]])
-        z.backward()
-        np.testing.assert_array_equal(x.grad, [[6.0, 6.0]])
+        once = {"x": x.grad.copy(), "w": w.grad.copy()}
+        for root in (z, other):
+            with pytest.raises(ad.ConsumedTapeError, match="earlier backward"):
+                root.backward()
+            np.testing.assert_array_equal(x.grad, once["x"])
+            np.testing.assert_array_equal(w.grad, once["w"])
+            assert u.grad is None
+        assert issubclass(ad.ConsumedTapeError, ad.NoTapeError)
 
     @pytest.mark.parametrize("pool", sorted(POOLS))
-    def test_second_backward_of_a_network_repeats_the_first(self, pool):
+    def test_a_network_loss_built_twice_gets_the_same_gradients(self, pool):
         # a leaf with several contributions sums them in the same order
-        # each time, so after zeroing the leaves the result is identical
-        loss, params = network_loss(POOLS[pool], 0)
-        loss.backward()
+        # each time, so a second loss from the same parameters gives
+        # bit-identical gradients
+        build, params = network_builder(POOLS[pool], 0)
+        build().backward()
         once = {k: t.grad.copy() for k, t in params.items()}
         ad.zero_grads(params.values())
-        loss.backward()
+        build().backward()
         for k, t in params.items():
             np.testing.assert_array_equal(t.grad, once[k], err_msg=k)
 
@@ -639,6 +660,64 @@ class TestBackwardReleasesGradients:
         # ``x.grad`` is one buffer, the node being propagated and its
         # contribution two more; keeping every gradient would be 31
         assert peak < 4 * buffer
+
+
+class TestBackwardConsumesTheTape:
+    """``backward`` frees each array a VJP read once that VJP has run,
+    so the loss outlives its tape."""
+
+    @pytest.mark.parametrize("make", [ad.constant, lambda v: ad.exp(ad.parameter(v))],
+                             ids=["constant", "op_result"])
+    def test_an_array_only_a_vjp_holds_is_freed(self, make):
+        rng = np.random.default_rng(0)
+        w = ad.parameter(rng.normal(size=(3, 4)))
+        x = make(rng.normal(size=(3, 4)))
+        freed = weakref.ref(x.value)
+        loss = ad.sum_all(ad.mul(x, w))
+        del x
+        assert freed() is not None  # w's VJP reads it
+        loss.backward()
+        assert freed() is None
+        assert loss.value.shape == (1, 1)
+
+    def test_the_input_of_an_mlps_second_linear_is_freed(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        spec = MlpSpec((4, 6, 3))
+        params = nn.init_mlp_params(spec, rng, "mlp")
+        inputs = []
+        linear = ad.linear
+
+        def recording(x, w, b):
+            inputs.append(weakref.ref(x.value))
+            return linear(x, w, b)
+
+        monkeypatch.setattr(ad, "linear", recording)
+        loss = ad.sum_all(nn.mlp_forward(spec, params, ad.constant(rng.normal(size=(5, 4))),
+                                         "mlp"))
+        assert len(inputs) == 2 and inputs[1]() is not None
+        loss.backward()
+        assert inputs[1]() is None
+
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    def test_after_backward_only_the_gradients_stay(self, pool):
+        build, params = network_builder(POOLS[pool], 3, n_max=2000, m_max=1500)
+        build().backward()  # builds the hypergraph's cached views
+        ad.zero_grads(params.values())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = build()
+            tape = tracemalloc.get_traced_memory()[0] - base
+            loss.backward()
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        grads = sum(sys.getsizeof(t.grad) for t in params.values())
+        # the allowance covers the root node and Python's free lists
+        allowance = 64 * 1024
+        assert tape > 4 * (grads + allowance)
+        assert kept <= grads + allowance, (kept, grads)
 
 
 class TestFirstContributionIsNotShared:

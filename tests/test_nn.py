@@ -254,6 +254,21 @@ class TestAdam:
             opt.step(p)
         assert opt.step_count == 0 and p["a"].value.item() == 1.0
 
+    def test_a_second_backward_after_a_step_raises(self):
+        # the step writes into the arrays the loss's VJPs read, so a
+        # second pass would differentiate a forward that never ran
+        rng = np.random.default_rng(0)
+        p = {"x": ad.parameter(rng.normal(size=(3, 2))), "w": ad.parameter(rng.normal(size=(2, 2)))}
+        loss = ad.sum_all(ad.mul(ad.matmul(p["x"], p["w"]), ad.constant(rng.normal(size=(3, 2)))))
+        loss.backward()
+        opt = AdamState(p, lr=0.1)
+        opt.step(p)
+        grads = {k: t.grad.copy() for k, t in p.items()}
+        with pytest.raises(ad.ConsumedTapeError):
+            loss.backward()
+        for k, t in p.items():
+            np.testing.assert_array_equal(t.grad, grads[k])
+
 
 class TestGradCheckHarness:
     def test_one_row_per_entry_names_sorted_entries_in_c_order(self):
