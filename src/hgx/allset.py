@@ -149,15 +149,16 @@ class SetTransformerPool(MultisetFunction):
     """Seeded multihead attention over each segment with two residual +
     layer-norm stages.
 
-    Per head, key and value maps are bias-free ``(in_dim, head_dim)``
-    linear projections (``{prefix}.key{i}.w0``, ``.value{i}.w0``); the
-    attention query is a learnable seed row, the same for every segment,
-    and the attention weights are a softmax over the segment.  All heads
-    run in one pass.  A head's logit, a key row dotted with the head's
-    seed slice, is folded into the key map: with ``W_k`` the heads' key
-    maps side by side and ``E`` the constant ``(hidden, heads)`` 0/1
-    matrix that sums each head's columns, ``k . s = src (W_k * s) E``
-    (``*`` elementwise, the seed row broadcast down ``W_k``).
+    The key map ``W_k`` (``{prefix}.key.w0``) and the value map
+    (``{prefix}.value.w0``) are bias-free ``(in_dim, heads * head_dim)``
+    linear projections; column block ``i`` (``head_dim`` columns) of
+    each is head ``i``'s map.  The attention query is a learnable seed
+    row, the same for every segment, and the attention weights are a
+    softmax over the segment.  All heads run in one pass.  A head's
+    logit, a key row dotted with the head's seed slice, is folded into
+    the key map: with ``E`` the constant ``(hidden, heads)`` 0/1 matrix
+    that sums each head's columns, ``k . s = src (W_k * s) E`` (``*``
+    elementwise, the seed row broadcast down ``W_k``).
     The ``(rows, heads)`` logits are taken per source row and gathered to
     the pairs, so no key array of ``rows x head_dim`` (nor of pairs) is
     built.  One softmax weights each head's column block of the values
@@ -183,11 +184,10 @@ class SetTransformerPool(MultisetFunction):
         params[f"{prefix}.seed"] = ad.parameter(
             rng.normal(0.0, 1.0 / np.sqrt(self.hidden), size=(1, self.hidden))
         )
-        for i in range(self.heads):
-            for name in (f"key{i}", f"value{i}"):
-                params[f"{prefix}.{name}.w0"] = ad.parameter(
-                    nn.xavier_uniform(rng, in_dim, self.head_dim)
-                )
+        # per head a key draw, then a value draw: the rng order of seeded runs
+        draws = [nn.xavier_uniform(rng, in_dim, self.head_dim) for _ in range(2 * self.heads)]
+        params[f"{prefix}.key.w0"] = ad.parameter(np.concatenate(draws[0::2], axis=1))
+        params[f"{prefix}.value.w0"] = ad.parameter(np.concatenate(draws[1::2], axis=1))
         for stage in ("ln1", "ln2"):
             params[f"{prefix}.{stage}.gain"] = ad.parameter(np.ones((1, self.hidden)))
             params[f"{prefix}.{stage}.bias"] = ad.parameter(np.zeros((1, self.hidden)))
@@ -196,11 +196,9 @@ class SetTransformerPool(MultisetFunction):
 
     def aggregate(self, params, src, view, prefix):
         seed = params[f"{prefix}.seed"]
-        heads = range(self.heads)
-        keys = ad.concat_cols([params[f"{prefix}.key{i}.w0"] for i in heads])
-        scores = ad.matmul(ad.mul(keys, seed), ad.constant(self._head_sums))
+        scores = ad.matmul(ad.mul(params[f"{prefix}.key.w0"], seed), ad.constant(self._head_sums))
         logits = ad.gather_rows(ad.matmul(src, scores), view.src)
-        values = ad.matmul(src, ad.concat_cols([params[f"{prefix}.value{i}.w0"] for i in heads]))
+        values = ad.matmul(src, params[f"{prefix}.value.w0"])
         mh = ad.segment_sum(values, view, ad.segment_softmax(logits, view))
         y = nn.layer_norm(
             ad.add(seed, mh), params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"]

@@ -13,8 +13,8 @@ that closure would have read is not kept either.  An intermediate
 value is therefore freed as soon as the caller drops its ``Tensor``,
 unless some VJP reads it; only parameters are graph entries of their
 own.  Those arrays are the forward's: rebinding ``w.value`` after the
-forward does not change the gradients its backward computes (writing
-into the array in place does).
+forward does not change the gradients its backward computes, but
+writing into the array in place does.  ``AdamState.step`` rebinds.
 
 ``Tensor.backward`` walks the recorded graph once in reverse
 topological order and consumes it: once a node's gradient has reached
@@ -162,8 +162,11 @@ class Tensor:
         A backward that reaches a consumed node raises
         ``ConsumedTapeError`` before any VJP runs, so no ``.grad``
         changes.  There is no option to keep the tape: every caller runs
-        one backward per forward, and a second pass would read parameter
-        arrays that an optimizer step may have rewritten in place.  A
+        one backward per forward and builds the loss again to
+        differentiate again, so a kept tape would only hold every VJP's
+        arrays past the point where anything reads them.  (An optimizer
+        step does not stand in the way: ``AdamState.step`` rebinds each
+        parameter's ``value`` and writes into no array a VJP reads.)  A
         tensor that requires no gradient records no tape, so its
         ``backward`` raises ``NoTapeError``."""
         if not self.requires_grad:
@@ -440,6 +443,8 @@ def col_sum(a: Tensor) -> Tensor:
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     parts = list(parts)
+    if not parts:
+        raise ShapeMismatchError("column concat needs at least one part")
     rows = parts[0].shape[0]
     for p in parts:
         if p.shape[0] != rows:

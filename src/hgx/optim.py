@@ -28,16 +28,15 @@ class AdamState:
         self.v = {name: np.zeros_like(t.value) for name, t in params.items()}
 
     def step(self, params: Dict[str, Tensor]) -> None:
-        """Apply one update in place; parameters with no gradient are
-        treated as having a zero gradient.  A parameter this state was
-        not built with raises ``ValueError`` before anything changes.
+        """Apply one update; parameters with no gradient are treated as
+        having a zero gradient.  A parameter this state was not built
+        with raises ``ValueError`` before anything changes.
 
-        The update writes into each parameter's array, which the VJPs of
-        any graph built from it read.  A graph whose backward already ran
-        is consumed, so a second backward raises rather than use the
-        stepped weights.  One case stays silent: a graph recorded before
-        the step whose first backward runs after it gets gradients that
-        mix the forward's inputs with the stepped weights."""
+        The update rebinds each parameter's ``value`` to a new array and
+        writes into none that a recorded VJP reads, so a graph recorded
+        before the step differentiates the forward that built it, even
+        when its first backward runs after the step.  The moment
+        estimates ``m`` and ``v`` are updated in place."""
         unknown = next((name for name in params if name not in self.m), None)
         if unknown is not None:
             raise ValueError(f"parameter {unknown!r} is not one this AdamState was built with")
@@ -60,4 +59,4 @@ class AdamState:
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             if self.weight_decay:
                 update = update + self.weight_decay * t.value
-            t.value -= self.lr * update
+            t.value = t.value - self.lr * update

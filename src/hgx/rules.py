@@ -350,7 +350,7 @@ def hypersage_layer(hg: Hypergraph, x, params: Dict[str, Tensor], p: int = 1) ->
     edges (an AllSet layer of two mean pools between the p-th power and
     the p-th root), a residual add, row normalization, and a linear map
     plus ReLU."""
-    if p < 1:
+    if isinstance(p, (bool, np.bool_)) or p < 1:
         raise ValueError(f"power-mean order must be >= 1, got {p}")
     xt = node_tensor(hg, x)
     if p != 1 and (xt.value < 0).any():

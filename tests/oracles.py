@@ -197,7 +197,8 @@ def layer_norm_chain(x, gain, bias):
 def set_transformer_pool(pool, params, x, view, prefix="f"):
     """``SetTransformerPool`` by a loop over the segments of ``view``, on
     arrays: per head, a softmax over the segment of each member's key
-    dotted with the seed's slice weights the members' values; the heads'
+    dotted with the seed's slice weights the members' values, with head
+    i's key, value and seed slice read from column block i; the heads'
     rows, concatenated, go through the seed residual and layer norm, then
     the post MLP's residual and layer norm.  Empty segments give zero
     rows."""
@@ -212,9 +213,10 @@ def set_transformer_pool(pool, params, x, view, prefix="f"):
             continue
         heads = []
         for i in range(pool.heads):
-            logits = rows @ value(f"key{i}.w0") @ seed[i * width:(i + 1) * width]
+            block = slice(i * width, (i + 1) * width)  # head i's columns
+            logits = rows @ value("key.w0")[:, block] @ seed[block]
             weights = np.exp(logits - logits.max())
-            heads.append(weights / weights.sum() @ (rows @ value(f"value{i}.w0")))
+            heads.append(weights / weights.sum() @ (rows @ value("value.w0")[:, block]))
         y = _layer_norm(seed + np.concatenate(heads), value("ln1.gain")[0], value("ln1.bias")[0])
         hidden = np.maximum(y @ value("post.w0") + value("post.b0")[0], 0.0)
         post = hidden @ value("post.w1") + value("post.b1")[0]

@@ -115,7 +115,7 @@ class TestLearnedPools:
         params = pool.init_params(rng, 4, "f")
         row = rng.normal(size=(1, 4))
         pe = np.array([0])
-        k0 = ad.matmul(ad.constant(row), params["f.key0.w0"])
+        k0 = ad.matmul(ad.constant(row), ad.slice_cols(params["f.key.w0"], 0, 3))  # head 0
         logits = ad.row_sum(ad.mul(k0, ad.slice_cols(params["f.seed"], 0, 3)))
         w = ad.segment_softmax(logits, segment_view(np.arange(1), pe, 1, 1))
         np.testing.assert_allclose(w.value, [[1.0]], atol=1e-15)
@@ -130,7 +130,7 @@ class TestLearnedPools:
         params = pool.init_params(rng, 3, "f")
         x = ad.constant(rng.normal(size=(hg.n, 3)))
         pn, pe = hg.incidence.nodes, hg.incidence.edges
-        k = ad.matmul(x, params["f.key0.w0"])
+        k = ad.matmul(x, params["f.key.w0"])  # one head: the whole key map
         logits = ad.row_sum(ad.mul(ad.gather_rows(k, pn), ad.slice_cols(params["f.seed"], 0, 4)))
         by_edge = segment_view(np.arange(len(pe)), pe, hg.num_edges, len(pe))
         w = ad.segment_softmax(logits, by_edge).value
@@ -207,13 +207,12 @@ def tape_nodes(out):
 
 
 # SetTransformerPool(heads=2, head_dim=3).init_params(default_rng(7), 4, "f"):
-# each key, its shape and the sum of its initial values
+# each key, its shape and the sum of its initial values, per head's
+# column block for the key and value maps (drawn key0, value0, key1, value1)
 SET_TRANSFORMER_INIT = [
     ("f.seed", (1, 6), -0.9434909250919423),
-    ("f.key0.w0", (4, 3), 0.40571260763829664),
-    ("f.value0.w0", (4, 3), -0.5176657908207544),
-    ("f.key1.w0", (4, 3), -3.0608830991060225),
-    ("f.value1.w0", (4, 3), 0.2898035029005147),
+    ("f.key.w0", (4, 6), (0.40571260763829664, -3.0608830991060225)),
+    ("f.value.w0", (4, 6), (-0.5176657908207544, 0.2898035029005147)),
     ("f.ln1.gain", (1, 6), 6.0),
     ("f.ln1.bias", (1, 6), 0.0),
     ("f.ln2.gain", (1, 6), 6.0),
@@ -236,10 +235,24 @@ class TestSetTransformerHeads:
             sizes.add(tape_nodes(pool.aggregate(params, x, hg.incidence.v2e, "f")))
         assert len(sizes) == 1
 
+    def test_parameters_do_not_grow_with_the_heads(self):
+        keys = [
+            set(SetTransformerPool(heads=heads, head_dim=2).init_params(
+                np.random.default_rng(1), 3, "f"))
+            for heads in (1, 8)
+        ]
+        assert keys[0] == keys[1]
+
     def test_init_keys_and_draws_are_kept(self):
         params = SetTransformerPool(heads=2, head_dim=3).init_params(
             np.random.default_rng(7), 4, "f")
-        got = [(k, t.shape, float(t.value.sum())) for k, t in params.items()]
+
+        def sums(name, t):
+            if name in ("f.key.w0", "f.value.w0"):
+                return tuple(float(block.sum()) for block in np.hsplit(t.value, 2))
+            return float(t.value.sum())
+
+        got = [(k, t.shape, sums(k, t)) for k, t in params.items()]
         assert got == SET_TRANSFORMER_INIT
 
 
@@ -363,8 +376,7 @@ class TestPerAggregatorVariant:
                             variant="per_aggregator")
         assert layer.widths(2) == (0, 4)
         params = layer.init_params(np.random.default_rng(0), 2)
-        assert "layer.e2v.key0.w0" in params
-        assert params["layer.e2v.key0.w0"].shape == (3, 2)
+        assert params["layer.e2v.key.w0"].shape == (3, 4)
 
     @pytest.mark.parametrize("v2e", [SumPool, MeanPool, ProductPool])
     @pytest.mark.parametrize("e2v", [SumPool, MeanPool, ProductPool])

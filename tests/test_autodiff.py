@@ -476,6 +476,15 @@ class TestTape:
         out.backward()
         assert np.array_equal(x.grad, want[0]) and np.array_equal(w.grad, want[1])
 
+    def test_writing_into_a_parameter_in_place_changes_its_graphs_gradients(self):
+        rng = np.random.default_rng(43)
+        x, w = ad.parameter(rng.normal(size=(5, 4))), ad.parameter(rng.normal(size=(4, 3)))
+        c = rng.normal(size=(5, 3))
+        out = ad.sum_all(ad.mul(ad.matmul(x, w), ad.constant(c)))
+        w.value[...] = rng.normal(size=(4, 3))  # written into between forward and backward
+        out.backward()
+        np.testing.assert_allclose(x.grad, c @ w.value.T, rtol=1e-12)
+
     @pytest.mark.parametrize("make", [
         lambda: ad.constant(3.0),
         lambda: ad.sum_all(ad.exp(ad.constant(np.ones((2, 2))))),

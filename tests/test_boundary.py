@@ -31,6 +31,8 @@ def hypersage(x, p=1):
 BAD_INPUTS = {
     "3-d array": (lambda: ad.Tensor(np.ones((2, 2, 2))),
                   ad.ShapeMismatchError, "at most 2 dimensions, got 3"),
+    "column concat of nothing": (lambda: ad.concat_cols([]),
+                                 ad.ShapeMismatchError, "at least one part"),
     "column slice out of range": (lambda: ad.slice_cols(ad.Tensor(np.ones((2, 3))), 1, 4),
                                   ad.ShapeMismatchError, r"slice \[1:4\] out of range"),
     "deep sets widths": (lambda: DeepSetsPool(MlpSpec((2, 3)), MlpSpec((4, 2))),
@@ -50,6 +52,8 @@ BAD_INPUTS = {
                                ad.ShapeMismatchError, "edge features have 3 rows for 2 edges"),
     "hypersage order": (lambda: hypersage(np.ones((3, 2)), p=0),
                         ValueError, "order must be >= 1, got 0"),
+    "hypersage bool order": (lambda: hypersage(np.ones((3, 2)), p=True),
+                             ValueError, "order must be >= 1, got True"),
     "hypersage zero row": (lambda: hypersage(np.zeros((3, 2))),
                            rules.ZeroNormRowError, "zero norm"),
     "edge weight count": (lambda: from_edge_list(3, [[0, 1], [1, 2]], weights=[1.0]),

@@ -254,9 +254,24 @@ class TestAdam:
             opt.step(p)
         assert opt.step_count == 0 and p["a"].value.item() == 1.0
 
+    def test_a_graph_recorded_before_a_step_gets_its_own_gradients(self):
+        # the step rebinds the parameters' arrays, so the first backward
+        # of a loss recorded before it reads the arrays its forward used
+        rng = np.random.default_rng(0)
+        p = {"x": ad.parameter(rng.normal(size=(3, 2))), "w": ad.parameter(rng.normal(size=(2, 2)))}
+        c = ad.constant(rng.normal(size=(3, 2)))
+        recorded = ad.sum_all(ad.mul(ad.matmul(p["x"], p["w"]), c))
+        ad.sum_all(ad.mul(ad.matmul(p["x"], p["w"]), c)).backward()
+        want = {k: t.grad.copy() for k, t in p.items()}
+        AdamState(p, lr=0.1).step(p)
+        ad.zero_grads(p.values())
+        recorded.backward()
+        for k, t in p.items():
+            np.testing.assert_array_equal(t.grad, want[k])
+
     def test_a_second_backward_after_a_step_raises(self):
-        # the step writes into the arrays the loss's VJPs read, so a
-        # second pass would differentiate a forward that never ran
+        # the first backward consumed the loss's tape, so a second one
+        # raises whether or not a step ran in between
         rng = np.random.default_rng(0)
         p = {"x": ad.parameter(rng.normal(size=(3, 2))), "w": ad.parameter(rng.normal(size=(2, 2)))}
         loss = ad.sum_all(ad.mul(ad.matmul(p["x"], p["w"]), ad.constant(rng.normal(size=(3, 2)))))
