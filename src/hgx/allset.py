@@ -359,6 +359,10 @@ class AllSetNetwork:
     ):
         if not layers:
             raise ValueError("at least one propagation layer is required")
+        if input_proj is not None and input_proj.in_dim != in_dim:
+            raise ad.ShapeMismatchError(
+                f"input projection reads {input_proj.in_dim} columns, the network {in_dim}"
+            )
         self.in_dim = in_dim
         self.num_classes = num_classes
         self.layers = list(layers)

@@ -14,11 +14,14 @@ a Tensor of pair weights).  Their maps before the nonlinearity are
 linear, so they project first, ``X Theta``, and aggregate ``f_out``
 columns instead of ``f_in``; the printed order differs only by
 rounding.  HyperSAGE is a mean/mean layer between the p-th power and
-the p-th root, and normalizes rows before ``Theta``, so it cannot
-project first.  HyperGCN's ``W`` depends on the features, so
-it aggregates through a view built per forward pass from ``W``'s
-``(row, column, weight)`` triples, applied to the projected features as
-``W (X Theta)``.  No layer holds a dense n-by-n matrix.
+the p-th root; its row normalization is a per-row scale, which commutes
+with ``Theta``, so it scales ``x* Theta``.  At p = 1 the means are
+linear too, so it projects first; the power and root of p != 1 do not
+commute with ``Theta``, so that case pools at input width.
+HyperGCN's ``W`` depends on the features, so it aggregates through a
+view built per forward pass from ``W``'s ``(row, column, weight)``
+triples, applied to the projected features as ``W (X Theta)``.  No
+layer holds a dense n-by-n matrix.
 
 Conventions shared by every rule:
   - features are one row per node;
@@ -84,10 +87,18 @@ def ce_prop_a(hg: Hypergraph, x) -> Tensor:
     return _CE_PROP_A.forward({}, hg, x)[1]
 
 
+def _check_uniform_order(d) -> None:
+    """Zprop and Hprop take an integer order ``d >= 2``: a bool or a
+    float is refused rather than read as a number."""
+    if isinstance(d, (bool, np.bool_)) or not isinstance(d, (int, np.integer)) or d < 2:
+        raise ValueError(f"uniform order must be an integer >= 2, got {d}")
+
+
 def z_prop(hg: Hypergraph, x, d: int) -> Tensor:
     """Product-based update for d-uniform hypergraphs: every node
     receives, per incident edge, the elementwise product of the other
     members' features, and the sum is scaled by (d - 1)."""
+    _check_uniform_order(d)
     if hg.num_edges and hg.uniform_order() != d:
         raise NotUniformError(f"hypergraph is not {d}-uniform")
     return ad.mul(_Z_PROP.forward({}, hg, x)[1], ad.constant(d - 1))
@@ -96,6 +107,7 @@ def z_prop(hg: Hypergraph, x, d: int) -> Tensor:
 def h_prop(hg: Hypergraph, x, d: int) -> Tensor:
     """Root-taking variant of :func:`z_prop`; restricted to strictly
     positive features so the (d-1)-th root stays real."""
+    _check_uniform_order(d)
     xt = node_tensor(hg, x)
     if not (xt.value > 0).all():
         raise NonPositiveInputError("h_prop requires strictly positive features")
@@ -339,31 +351,59 @@ def hypergcn_layer(hg: Hypergraph, x, params: Dict[str, Tensor]) -> Tensor:
 
 
 _HYPERSAGE = AllSetLayer(MeanPool(), MeanPool())
+_NORM_BLOCK = 32  # columns per block of HyperSAGE's p = 1 row norms
 
 
 def init_hypersage_params(rng, f_in: int, f_out: int) -> Dict[str, Tensor]:
     return init_linear_params(rng, f_in, f_out, "hypersage", bias=False)
 
 
+def _mean_of_means(hg: Hypergraph, x: Tensor) -> Tensor:
+    """Each node's mean over its incident edges of the edges' member
+    means (a zero row for an isolated node): linear, column by column."""
+    return _HYPERSAGE.forward({}, hg, x, prefix="hypersage")[1]
+
+
+def _residual_mean(hg: Hypergraph, x: Tensor) -> Tensor:
+    """HyperSAGE's p = 1 ``x* = x + mean(mean(x))``, of any columns of ``x``."""
+    return ad.add(x, _mean_of_means(hg, x))
+
+
 def hypersage_layer(hg: Hypergraph, x, params: Dict[str, Tensor], p: int = 1) -> Tensor:
     """Power-mean aggregation over edges then over a node's incident
     edges (an AllSet layer of two mean pools between the p-th power and
-    the p-th root), a residual add, row normalization, and a linear map
-    plus ReLU."""
+    the p-th root), a residual add ``x* = x + pooled``, row
+    normalization, and a linear map plus ReLU, computed as
+    ``relu(r * (x* Theta))`` with ``r = 1 / ||x*||`` per row: a row
+    scaling commutes with ``Theta``, so this equals the printed
+    ``relu((r * x*) Theta)`` up to rounding.
+
+    At p = 1 the means are linear too, so ``x* Theta = X Theta +
+    pooled(X Theta)`` pools ``f_out`` columns, and ``Theta``'s gradient
+    reads the caller's ``x``.  The squared norms are summed over column
+    blocks of ``x*``, each pooled on its own, so a constant ``x`` costs
+    no other array of its width.  The p-th power and root of p != 1 do
+    not commute with ``Theta``: that case pools at input width and keeps
+    ``x*`` for ``Theta``'s gradient.  A zero row of ``x*`` raises
+    :class:`ZeroNormRowError` before anything divides by its norm."""
     if isinstance(p, (bool, np.bool_)) or p < 1:
         raise ValueError(f"power-mean order must be >= 1, got {p}")
     xt = node_tensor(hg, x)
-    if p != 1 and (xt.value < 0).any():
-        raise NegativeBaseError("power means with p > 1 require nonnegative input")
-    xp = xt if p == 1 else ad.power(xt, float(p))
-    # z_e = edge_mean ** (1/p); z_e**p reappears at once, so no root between the means
-    node_mean = _HYPERSAGE.forward({}, hg, xp, prefix="hypersage")[1]
-    pooled = node_mean if p == 1 else _root(node_mean, p)
-    x_star = ad.add(pooled, xt)
-    # no VJP reads these full-width values: free them before the rest of the forward
-    del xp, node_mean, pooled
-    norm = ad.sqrt(ad.row_sum(ad.mul(x_star, x_star)))
+    theta = params["hypersage.theta"]
+    if p == 1:
+        x_star_theta = _residual_mean(hg, ad.matmul(xt, theta))
+        squares = ad.constant(np.zeros((hg.n, 1)))
+        for lo in range(0, xt.shape[1], _NORM_BLOCK):
+            block = _residual_mean(hg, ad.slice_cols(xt, lo, min(lo + _NORM_BLOCK, xt.shape[1])))
+            squares = ad.add(squares, ad.row_sum(ad.mul(block, block)))
+    else:
+        if (xt.value < 0).any():
+            raise NegativeBaseError("power means with p > 1 require nonnegative input")
+        # z_e = edge_mean ** (1/p); z_e**p reappears at once, so no root between the means
+        x_star = ad.add(_root(_mean_of_means(hg, ad.power(xt, float(p))), p), xt)
+        squares = ad.row_sum(ad.mul(x_star, x_star))
+        x_star_theta = ad.matmul(x_star, theta)
+    norm = ad.sqrt(squares)
     if (norm.value == 0).any():
         raise ZeroNormRowError("row with zero norm before normalization")
-    normalized = ad.mul(x_star, ad.div(ad.constant(1.0), norm))
-    return ad.relu(ad.matmul(normalized, params["hypersage.theta"]))
+    return ad.relu(ad.mul(x_star_theta, ad.div(ad.constant(1.0), norm)))

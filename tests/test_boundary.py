@@ -48,6 +48,18 @@ BAD_INPUTS = {
         ad.ShapeMismatchError, "states have 3 rows, the shared variant reads 2"),
     "network feature width": (lambda: network_forward(np.ones((3, 3))),
                               ad.ShapeMismatchError, "expects 2 feature columns, got 3"),
+    "network input projection width": (
+        lambda: AllSetNetwork(4, 3, [AllSetLayer(SumPool(), SumPool())],
+                              input_proj=MlpSpec((5, 8))),
+        ad.ShapeMismatchError, "input projection reads 5 columns, the network 4"),
+    "zprop bool order": (lambda: rules.z_prop(PATH, np.ones((3, 2)), True),
+                         ValueError, "order must be an integer >= 2, got True"),
+    "zprop float order": (lambda: rules.z_prop(PATH, np.ones((3, 2)), 2.0),
+                          ValueError, r"order must be an integer >= 2, got 2\.0"),
+    "hprop order one": (lambda: rules.h_prop(PATH, np.ones((3, 2)), 1),
+                        ValueError, "order must be an integer >= 2, got 1"),
+    "hprop bool order": (lambda: rules.h_prop(PATH, np.ones((3, 2)), True),
+                         ValueError, "order must be an integer >= 2, got True"),
     "hcha edge feature rows": (lambda: hcha_with_edge_rows(3),
                                ad.ShapeMismatchError, "edge features have 3 rows for 2 edges"),
     "hypersage order": (lambda: hypersage(np.ones((3, 2)), p=0),
