@@ -254,7 +254,7 @@ class AllSetLayer:
         inc = hg.incidence
         if self.variant == "shared":
             return inc.v2e, inc.e2v
-        loo_pairs = int(inc.edge_sizes @ (inc.edge_sizes - 1))
+        loo_pairs = int(inc.v2e.sizes @ (inc.v2e.sizes - 1))
         if loo_pairs > PER_AGGREGATOR_PAIR_GUARD:
             raise PerAggregatorGuardError(
                 f"{loo_pairs} leave-one-out pairs exceed {PER_AGGREGATOR_PAIR_GUARD}"

@@ -7,13 +7,14 @@ structures here are immutable after construction and safe to share between
 threads.
 
 Every aggregation reads one :class:`Incidence` per hypergraph: the
-node-edge pairs, degrees, edge sizes and edge weights, plus the two
-directed views a layer reduces over (node rows into edges, edge rows into
-nodes).  It is built on first use of :attr:`Hypergraph.incidence` and
-cached on the instance; its arrays are read-only.  Each view sorts its
-pairs once, on first use, into :attr:`SegmentView.pairs`, and reads its
-matrix (H transposed node->edge, H edge->node) off that sort; both are
-cached on the view, as are the leave-one-out :attr:`Incidence.pair_views`.
+node-edge pairs and edge weights, plus the two directed views a layer
+reduces over (node rows into edges, edge rows into nodes), whose pair
+counts are the edge sizes and the node degrees.  It is built on first
+use of :attr:`Hypergraph.incidence` and cached on the instance; its
+arrays are read-only.  Each view sorts its pairs once, on first use, into
+:attr:`SegmentView.pairs`, and reads its matrix (H transposed node->edge,
+H edge->node) off that sort; both are cached on the view, as are the
+leave-one-out :attr:`Incidence.pair_views`.
 """
 
 from __future__ import annotations
@@ -84,10 +85,10 @@ class Hypergraph:
         return _build_incidence(self)
 
     def edge_sizes(self) -> np.ndarray:
-        return self.incidence.edge_sizes
+        return self.incidence.v2e.sizes
 
     def degrees(self) -> np.ndarray:
-        return self.incidence.degrees
+        return self.incidence.e2v.sizes
 
     def uniform_order(self) -> Optional[int]:
         """Edge size if all hyperedges share one, else ``None``."""
@@ -105,7 +106,7 @@ class SegmentView:
     """One direction of an incidence: pair ``i`` gathers source row
     ``src[i]`` (of ``src_count`` source rows) and reduces it into segment
     ``seg[i]`` of ``count``.  ``sizes`` counts the pairs per segment
-    (float64) and ``nonempty`` is the ``(count, 1)`` float64 mask of
+    (int64) and ``nonempty`` is the ``(count, 1)`` float64 mask of
     segments with at least one pair."""
 
     src: np.ndarray
@@ -124,7 +125,7 @@ class SegmentView:
         # lets numpy's default sort run several times faster than its stable one
         order = np.argsort(self.seg * p + np.arange(p))
         indptr = np.zeros(self.count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.seg, minlength=self.count), out=indptr[1:])
+        np.cumsum(self.sizes, out=indptr[1:])
         return sparse.csr_array((np.ones(p), order, indptr), shape=(self.count, p))
 
     @cached_property
@@ -173,7 +174,7 @@ def segment_view(src, seg, count: int, src_count: int) -> SegmentView:
     src = _readonly(id_array(src, src_count, "src").copy())
     if src.shape != seg.shape:
         raise HypergraphError(f"{len(src)} src ids for {len(seg)} seg ids")
-    sizes = _readonly(np.bincount(seg, minlength=count).astype(np.float64))
+    sizes = _readonly(np.bincount(seg, minlength=count).astype(np.int64, copy=False))
     nonempty = _readonly((sizes > 0).astype(np.float64).reshape(-1, 1))
     return SegmentView(src, seg, count, src_count, sizes, nonempty)
 
@@ -181,14 +182,13 @@ def segment_view(src, seg, count: int, src_count: int) -> SegmentView:
 @dataclass(frozen=True, eq=False)
 class Incidence:
     """Read-only incidence of one hypergraph.  ``nodes``/``edges`` list
-    every membership in edge-major canonical order; ``degrees`` and
-    ``edge_sizes`` are int64, ``weights`` float64 (1.0 when unweighted).
-    ``v2e`` reduces node rows into edges, ``e2v`` edge rows into nodes."""
+    every membership in edge-major canonical order; ``weights`` is float64
+    (1.0 when unweighted).  ``v2e`` reduces node rows into edges, so its
+    ``sizes`` are the edge sizes; ``e2v`` reduces edge rows into nodes,
+    so its ``sizes`` are the node degrees."""
 
     nodes: np.ndarray
     edges: np.ndarray
-    degrees: np.ndarray
-    edge_sizes: np.ndarray
     weights: np.ndarray
     v2e: SegmentView
     e2v: SegmentView
@@ -199,7 +199,7 @@ class Incidence:
         use.  ``loo`` segment ``p`` is pair ``(nodes[p], edges[p])`` and
         gathers the edge's other members in member order, sum(|e| (|e| -
         1)) pairs in all; ``back`` reduces pair rows into their nodes."""
-        sizes = self.edge_sizes
+        sizes = self.v2e.sizes
         pairs = len(self.nodes)
         first = (np.cumsum(sizes) - sizes)[self.edges]  # first pair of p's edge
         runs = sizes[self.edges] - 1  # sources of pair p: its edge's other members
@@ -208,7 +208,7 @@ class Incidence:
         k = np.arange(len(seg)) - np.repeat(np.cumsum(runs) - runs, runs)
         own = np.repeat(np.arange(pairs) - first, runs)
         src = self.nodes[np.repeat(first, runs) + k + (k >= own)]
-        n = len(self.degrees)
+        n = self.e2v.count
         return (segment_view(src, seg, pairs, n),
                 segment_view(np.arange(pairs), self.nodes, n, pairs))
 
@@ -222,8 +222,6 @@ def _build_incidence(hg: Hypergraph) -> Incidence:
     return Incidence(
         nodes=v2e.src,
         edges=v2e.seg,
-        degrees=_readonly(np.bincount(nodes, minlength=hg.n).astype(np.int64)),
-        edge_sizes=_readonly(sizes),
         weights=_readonly(weights),
         v2e=v2e,
         e2v=segment_view(edges, nodes, hg.n, hg.num_edges),

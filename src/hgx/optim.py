@@ -14,7 +14,9 @@ class AdamState:
 
     The update is the standard bias-corrected Adam step, with the usual
     constants ``beta1``, ``beta2`` and ``eps``, followed by a decoupled
-    decay term ``lr * weight_decay * param``.
+    decay term ``lr * weight_decay * param``.  A ``lr`` that is not finite
+    and > 0, or a ``weight_decay`` that is not finite and >= 0, raises
+    ``ValueError``.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -23,6 +25,10 @@ class AdamState:
                  weight_decay: float = 0.0):
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {lr}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {weight_decay}")
         self.step_count = 0
         self.m = {name: np.zeros_like(t.value) for name, t in params.items()}
         self.v = {name: np.zeros_like(t.value) for name, t in params.items()}

@@ -87,18 +87,20 @@ def ce_prop_a(hg: Hypergraph, x) -> Tensor:
     return _CE_PROP_A.forward({}, hg, x)[1]
 
 
-def _check_uniform_order(d) -> None:
-    """Zprop and Hprop take an integer order ``d >= 2``: a bool or a
-    float is refused rather than read as a number."""
-    if isinstance(d, (bool, np.bool_)) or not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"uniform order must be an integer >= 2, got {d}")
+def _check_order(value, name: str, minimum: int) -> None:
+    """An order (Zprop's and Hprop's ``d``, HyperSAGE's ``p``) is an
+    integer ``>= minimum``: a bool or a float, nan included, is refused
+    rather than read as a number."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
 
 
 def z_prop(hg: Hypergraph, x, d: int) -> Tensor:
     """Product-based update for d-uniform hypergraphs: every node
     receives, per incident edge, the elementwise product of the other
     members' features, and the sum is scaled by (d - 1)."""
-    _check_uniform_order(d)
+    _check_order(d, "uniform order", 2)
     if hg.num_edges and hg.uniform_order() != d:
         raise NotUniformError(f"hypergraph is not {d}-uniform")
     return ad.mul(_Z_PROP.forward({}, hg, x)[1], ad.constant(d - 1))
@@ -107,7 +109,7 @@ def z_prop(hg: Hypergraph, x, d: int) -> Tensor:
 def h_prop(hg: Hypergraph, x, d: int) -> Tensor:
     """Root-taking variant of :func:`z_prop`; restricted to strictly
     positive features so the (d-1)-th root stays real."""
-    _check_uniform_order(d)
+    _check_order(d, "uniform order", 2)
     xt = node_tensor(hg, x)
     if not (xt.value > 0).all():
         raise NonPositiveInputError("h_prop requires strictly positive features")
@@ -240,18 +242,22 @@ def hnhn_layer(
     node state from an |e|**alpha weighted average of incident edge
     states, normalized as printed: by the node's own degree power
     d_v**alpha summed over its incident edges.  Returns
-    ``(edge_state, node_state)``.
+    ``(edge_state, node_state)``.  A non-finite ``alpha`` or ``beta``
+    raises ``ValueError``.
     """
+    alpha, beta = float(alpha), float(beta)
+    if not (np.isfinite(alpha) and np.isfinite(beta)):
+        raise ValueError(f"hnhn exponents must be finite, got alpha={alpha}, beta={beta}")
     inc = hg.incidence
     pn, pe = inc.nodes, inc.edges
     deg = inc.e2v.sizes
 
-    deg_beta = np.power(deg, beta, where=deg > 0, out=np.zeros_like(deg))
+    deg_beta = np.power(deg, beta, where=deg > 0, out=np.zeros(deg.shape))
     d_el = np.bincount(pe, weights=deg_beta[pn], minlength=hg.num_edges)
     if hg.num_edges and not (d_el > 0).all():
         raise ZeroNormalizerError("edge-side normalizer vanished")
     size_alpha = np.power(inc.v2e.sizes, alpha)
-    pair_w = np.power(deg, alpha, where=deg > 0, out=np.zeros_like(deg))[pn]
+    pair_w = np.power(deg, alpha, where=deg > 0, out=np.zeros(deg.shape))[pn]
     d_vl = np.bincount(pn, weights=pair_w, minlength=hg.n)
     layer = AllSetLayer(WeightedSumPool(deg_beta[pn] / d_el[pe]),
                         WeightedSumPool(size_alpha[pe] * _inverse(d_vl)[pn]))
@@ -281,7 +287,7 @@ def hypergcn_mediators(hg: Hypergraph, projected: np.ndarray) -> np.ndarray:
     direct differences, never all ``k (k - 1) / 2`` of them.  Every edge
     needs at least two members."""
     inc = hg.incidence
-    sizes = inc.edge_sizes
+    sizes = inc.v2e.sizes
     if (sizes < 2).any():
         bad = hg.edges[int(np.argmax(sizes < 2))]
         raise DegenerateEdgeError(f"edge {bad} has fewer than 2 nodes")
@@ -328,7 +334,7 @@ def hypergcn_edge_weights(hg: Hypergraph, projected: np.ndarray) -> tuple:
     keep[:, 2:] = ((u != i) & (u != j))[:, None]
     rows = np.stack([i, j, u, u], axis=1)[keep]
     cols = np.stack([u, u, i, j], axis=1)[keep]
-    w = 1.0 / (2 * inc.edge_sizes - 3)
+    w = 1.0 / (2 * inc.v2e.sizes - 3)
     weights = np.broadcast_to(w[e, None], keep.shape)[keep].reshape(-1, 1)
     return segment_view(cols, rows, hg.n, hg.n), weights
 
@@ -386,8 +392,7 @@ def hypersage_layer(hg: Hypergraph, x, params: Dict[str, Tensor], p: int = 1) ->
     not commute with ``Theta``: that case pools at input width and keeps
     ``x*`` for ``Theta``'s gradient.  A zero row of ``x*`` raises
     :class:`ZeroNormRowError` before anything divides by its norm."""
-    if isinstance(p, (bool, np.bool_)) or p < 1:
-        raise ValueError(f"power-mean order must be >= 1, got {p}")
+    _check_order(p, "power-mean order", 1)
     xt = node_tensor(hg, x)
     theta = params["hypersage.theta"]
     if p == 1:

@@ -16,32 +16,22 @@ the package so that no path is checked against itself:
   adjacency tensor;
 - HyperGCN's loop-chosen mediator pairs, its dense ``W`` filled by a
   loop over member pairs, and the layer as printed on that ``W``;
-- HyperSAGE's power-mean layer as printed, by loops over edges and nodes;
-- HCHA as printed, with and without attention, by loops over the
-  incidence pairs;
-- the equivalence suite: classical propagation rules recovered as
-  compositions of two multiset functions.  Each case evaluates a
-  hand-rolled, loop-based two-phase construction (node->edge
-  aggregation, then edge->node aggregation, with the weights or
-  nonlinearities the corresponding rule prescribes) or an AllSet layer
-  and compares it against an independent implementation of that rule
-  over a batch of random hypergraphs.  Max deviations land at float
-  rounding level when the constructions are right.
+- the other trainable rules as printed, each a node->edge then an
+  edge->node aggregation by loops over edges, nodes or incidence pairs:
+  HGNN, HCHA with and without attention, HNHN, and HyperSAGE's
+  power-mean layer.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 from hypothesis import strategies as st
 
 from hgx import autodiff as ad
 from hgx import rules
-from hgx.allset import AllSetLayer, ProductPool, SumPool
 from hgx.hypergraph import Hypergraph, NotUniformError, from_edge_list, segment_view
 
 
@@ -308,6 +298,9 @@ def build_adjacency_tensor(hg: Hypergraph, d: int) -> np.ndarray:
     return A
 
 
+# --- the trainable rules as printed --------------------------------------------
+
+
 def mediator_pair(projected: np.ndarray, members: tuple) -> tuple:
     """HyperGCN's feature-extreme pair of an edge, by a loop over member
     pairs: the (u, v) pair, u < v, whose projected features are farthest
@@ -388,60 +381,19 @@ def hcha_layer(hg: Hypergraph, x: np.ndarray, theta: np.ndarray, bias: np.ndarra
     return out
 
 
-# --- equivalence suite -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EquivalenceCase:
-    name: str
-    max_deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation < self.tolerance
-
-
-def _sum_sum_shared(trials: int, rng) -> float:
-    layer = AllSetLayer(SumPool(), SumPool())
-    worst = 0.0
-    for _ in range(trials):
-        hg = random_hypergraph(rng)
-        x = rng.normal(size=(hg.n, 3))
-        _, out = layer.forward({}, hg, x)
-        worst = max(worst, np.abs(out.value - ce_prop_h(hg, x)).max())
-    return worst
-
-
-def _sum_sum_per_pair(trials: int, rng) -> float:
-    layer = AllSetLayer(SumPool(), SumPool(), variant="per_aggregator")
-    worst = 0.0
-    for _ in range(trials):
-        hg = random_hypergraph(rng)
-        x = rng.normal(size=(hg.n, 3))
-        _, out = layer.forward({}, hg, x)
-        worst = max(worst, np.abs(out.value - ce_prop_a(hg, x)).max())
-    return worst
-
-
-def _product_per_pair(trials: int, rng) -> float:
-    layer = AllSetLayer(ProductPool(), SumPool(), variant="per_aggregator")
-    worst = 0.0
-    for _ in range(trials):
-        d = int(rng.integers(3, 5))
-        hg = random_hypergraph(rng, uniform=d)
-        x = rng.uniform(0.5, 1.5, size=(hg.n, 2))
-        _, out = layer.forward({}, hg, x)
-        worst = max(worst, np.abs((d - 1) * out.value - z_prop(hg, x, d)).max())
-    return worst
-
-
-def _hgnn_construction(hg: Hypergraph, x, theta, bias):
+def hgnn_layer(hg: Hypergraph, x: np.ndarray, theta: np.ndarray,
+               bias: np.ndarray) -> np.ndarray:
+    """HGNN as printed, ``relu(Dv^-1/2 H W De^-1 H^T Dv^-1/2 X Theta + b)``,
+    by loops over edges and nodes: edge e's state is the sum of
+    ``x_u / sqrt(d_u)`` over its members u; node v's row is
+    ``relu((1/sqrt(d_v)) sum_e (w_e / |e|) state_e Theta + b)``, and a
+    zero row when d_v = 0."""
     deg = hg.degrees().astype(np.float64)
-    z = np.zeros((hg.num_edges, x.shape[1]))
+    weights = hg.incidence.weights
+    state = np.zeros((hg.num_edges, x.shape[1]))
     for e, members in enumerate(hg.edges):
         for u in members:
-            z[e] += x[u] / np.sqrt(deg[u])
+            state[e] += x[u] / np.sqrt(deg[u])
     out = np.zeros((hg.n, theta.shape[1]))
     for v in range(hg.n):
         if deg[v] == 0:
@@ -449,26 +401,19 @@ def _hgnn_construction(hg: Hypergraph, x, theta, bias):
         acc = np.zeros(x.shape[1])
         for e, members in enumerate(hg.edges):
             if v in members:
-                acc += hg.incidence.weights[e] / len(members) * z[e]
-        out[v] = np.maximum(acc / np.sqrt(deg[v]) @ theta + bias, 0.0)
+                acc += weights[e] / len(members) * state[e]
+        out[v] = np.maximum(acc / np.sqrt(deg[v]) @ theta + bias[0], 0.0)
     return out
 
 
-def _hgnn_case(trials: int, rng) -> float:
-    worst = 0.0
-    for _ in range(trials):
-        hg = random_hypergraph(rng)
-        x = rng.normal(size=(hg.n, 3))
-        theta = rng.normal(size=(3, 2))
-        bias = rng.normal(size=(1, 2))
-        params = {"hgnn.theta": ad.parameter(theta), "hgnn.bias": ad.parameter(bias)}
-        got = rules.hgnn_layer(hg, x, params).value
-        want = _hgnn_construction(hg, x, theta, bias)
-        worst = max(worst, np.abs(got - want).max())
-    return worst
-
-
-def _hnhn_construction(hg, x, theta_e, bias_e, theta_v, bias_v, alpha, beta):
+def hnhn_layer(hg: Hypergraph, x: np.ndarray, theta_e, bias_e, theta_v, bias_v,
+               alpha: float, beta: float) -> tuple:
+    """HNHN as printed, by loops over edges and nodes, as ``(edge_state,
+    node_state)``: edge e's state is ``relu(avg_e Theta_e + b_e)``, with
+    ``avg_e`` the ``d_u**beta``-weighted mean of its members' rows; node
+    v's row is ``relu(avg_v Theta_v + b_v)``, with ``avg_v`` the sum over
+    v's edges of ``|e|**alpha state_e`` divided by ``d_v**alpha`` summed
+    over those edges, and a zero row when d_v = 0."""
     deg = hg.degrees().astype(np.float64)
     z = np.zeros((hg.num_edges, theta_e.shape[1]))
     for e, members in enumerate(hg.edges):
@@ -476,41 +421,18 @@ def _hnhn_construction(hg, x, theta_e, bias_e, theta_v, bias_v, alpha, beta):
         acc = np.zeros(x.shape[1])
         for u in members:
             acc += deg[u] ** beta * x[u]
-        z[e] = np.maximum(acc / norm @ theta_e + bias_e, 0.0)
+        z[e] = np.maximum(acc / norm @ theta_e + bias_e[0], 0.0)
     out = np.zeros((hg.n, theta_v.shape[1]))
     for v in range(hg.n):
         if deg[v] == 0:
             continue
-        norm = sum(deg[v] ** alpha for e, members in enumerate(hg.edges) if v in members)
+        norm = sum(deg[v] ** alpha for members in hg.edges if v in members)
         acc = np.zeros(theta_e.shape[1])
         for e, members in enumerate(hg.edges):
             if v in members:
                 acc += len(members) ** alpha * z[e]
-        out[v] = np.maximum(acc / norm @ theta_v + bias_v, 0.0)
-    return out
-
-
-def _hnhn_case(trials: int, rng) -> float:
-    worst = 0.0
-    for _ in range(trials):
-        hg = random_hypergraph(rng)
-        x = rng.normal(size=(hg.n, 3))
-        alpha = float(rng.uniform(-1.0, 1.0))
-        beta = float(rng.uniform(-1.0, 1.0))
-        theta_e = rng.normal(size=(3, 4))
-        bias_e = rng.normal(size=(1, 4))
-        theta_v = rng.normal(size=(4, 2))
-        bias_v = rng.normal(size=(1, 2))
-        params = {
-            "hnhn.edge.theta": ad.parameter(theta_e),
-            "hnhn.edge.bias": ad.parameter(bias_e),
-            "hnhn.node.theta": ad.parameter(theta_v),
-            "hnhn.node.bias": ad.parameter(bias_v),
-        }
-        got = rules.hnhn_layer(hg, x, params, alpha=alpha, beta=beta)[1].value
-        want = _hnhn_construction(hg, x, theta_e, bias_e, theta_v, bias_v, alpha, beta)
-        worst = max(worst, np.abs(got - want).max())
-    return worst
+        out[v] = np.maximum(acc / norm @ theta_v + bias_v[0], 0.0)
+    return z, out
 
 
 def hypersage_layer(hg: Hypergraph, x: np.ndarray, theta: np.ndarray, p: int) -> np.ndarray:
@@ -532,46 +454,3 @@ def hypersage_layer(hg: Hypergraph, x: np.ndarray, theta: np.ndarray, p: int) ->
         star = pooled + x[v]
         out[v] = np.maximum(star / np.linalg.norm(star) @ theta, 0.0)
     return out
-
-
-def _hypersage_case(trials: int, rng) -> float:
-    worst = 0.0
-    for _ in range(trials):
-        hg = random_hypergraph(rng)
-        p = int(rng.integers(1, 4))
-        x = rng.uniform(0.2, 1.5, size=(hg.n, 3))
-        theta = rng.normal(size=(3, 2))
-        params = {"hypersage.theta": ad.parameter(theta)}
-        got = rules.hypersage_layer(hg, x, params, p=p).value
-        want = hypersage_layer(hg, x, theta, p)
-        worst = max(worst, np.abs(got - want).max())
-    return worst
-
-
-def equivalence_suite(seed: int = 0, trials: int = 50) -> List[EquivalenceCase]:
-    """Run every construction at its stated tolerance; results carry the
-    worst observed deviation over ``trials`` random hypergraphs."""
-    cases = [
-        ("sum-sum shared state = co-member sums", _sum_sum_shared, 1e-12),
-        ("sum-sum pair states = co-member sums minus self", _sum_sum_per_pair, 1e-12),
-        ("scaled-product pair states = tensor product rule", _product_per_pair, 1e-10),
-        ("weighted sums = degree-normalized two-stage layer", _hgnn_case, 1e-12),
-        ("degree-power averages = two-half-step layer", _hnhn_case, 1e-12),
-        ("power means + residual = normalized sage layer", _hypersage_case, 1e-12),
-    ]
-    results = []
-    for i, (name, fn, tol) in enumerate(cases):
-        rng = np.random.default_rng(seed + i)
-        results.append(EquivalenceCase(name, float(fn(trials, rng)), tol))
-    return results
-
-
-def format_report(cases: List[EquivalenceCase]) -> str:
-    lines = []
-    for c in cases:
-        status = "PASS" if c.passed else "FAIL"
-        lines.append(
-            f"[{status}] {c.name}: max deviation {c.max_deviation:.3e}"
-            f" (tolerance {c.tolerance:g})"
-        )
-    return "\n".join(lines)

@@ -28,6 +28,11 @@ def hypersage(x, p=1):
     return rules.hypersage_layer(PATH, x, params, p=p)
 
 
+def hnhn(hg=PATH, **exponents):
+    params = rules.init_hnhn_params(np.random.default_rng(0), 2, 2, 2)
+    return rules.hnhn_layer(hg, np.ones((hg.n, 2)), params, **exponents)
+
+
 BAD_INPUTS = {
     "3-d array": (lambda: ad.Tensor(np.ones((2, 2, 2))),
                   ad.ShapeMismatchError, "at most 2 dimensions, got 3"),
@@ -63,9 +68,23 @@ BAD_INPUTS = {
     "hcha edge feature rows": (lambda: hcha_with_edge_rows(3),
                                ad.ShapeMismatchError, "edge features have 3 rows for 2 edges"),
     "hypersage order": (lambda: hypersage(np.ones((3, 2)), p=0),
-                        ValueError, "order must be >= 1, got 0"),
+                        ValueError, "order must be an integer >= 1, got 0"),
     "hypersage bool order": (lambda: hypersage(np.ones((3, 2)), p=True),
-                             ValueError, "order must be >= 1, got True"),
+                             ValueError, "order must be an integer >= 1, got True"),
+    "hypersage float order": (lambda: hypersage(np.ones((3, 2)), p=2.0),
+                              ValueError, r"order must be an integer >= 1, got 2\.0"),
+    "hypersage nan order": (lambda: hypersage(np.ones((3, 2)), p=float("nan")),
+                            ValueError, "order must be an integer >= 1, got nan"),
+    "hnhn nan alpha": (lambda: hnhn(alpha=float("nan")),
+                       ValueError, "exponents must be finite, got alpha=nan, beta=0.0"),
+    "hnhn inf alpha": (lambda: hnhn(alpha=float("inf")),
+                       ValueError, "exponents must be finite, got alpha=inf, beta=0.0"),
+    "hnhn nan beta": (lambda: hnhn(beta=float("nan")),
+                      ValueError, "exponents must be finite, got alpha=0.0, beta=nan"),
+    # every member of both edges has degree 2, and 2 ** -2000 underflows to 0
+    "hnhn vanishing edge normalizer": (
+        lambda: hnhn(from_edge_list(2, [[0, 1], [0, 1]]), beta=-2000.0),
+        rules.ZeroNormalizerError, "edge-side normalizer vanished"),
     "hypersage zero row": (lambda: hypersage(np.zeros((3, 2))),
                            rules.ZeroNormRowError, "zero norm"),
     "edge weight count": (lambda: from_edge_list(3, [[0, 1], [1, 2]], weights=[1.0]),

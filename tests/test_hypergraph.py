@@ -127,9 +127,9 @@ def loop_degrees(hg):
 
 
 def loop_segment_sizes(seg, num):
-    """Reference: the pair count per segment as pools once computed it."""
-    sizes = np.zeros(num)
-    np.add.at(sizes, seg, 1.0)
+    """Reference: the pair count per segment, one pair at a time."""
+    sizes = np.zeros(num, dtype=np.int64)
+    np.add.at(sizes, seg, 1)
     return sizes
 
 
@@ -153,7 +153,7 @@ def hypergraphs(draw):
 
 def cached_arrays(inc):
     views = (inc.v2e, inc.e2v)
-    return [inc.nodes, inc.edges, inc.degrees, inc.edge_sizes, inc.weights] + [
+    return [inc.nodes, inc.edges, inc.weights] + [
         a for v in views for a in (v.src, v.seg, v.sizes, v.nonempty)
     ]
 
@@ -172,7 +172,7 @@ class TestIncidence:
         hg = from_edge_list(4, [])
         inc = hg.incidence
         assert inc.nodes.shape == inc.edges.shape == (0,)
-        assert_same(inc.degrees, np.zeros(4, dtype=np.int64))
+        assert_same(inc.e2v.sizes, np.zeros(4, dtype=np.int64))
         assert_same(inc.e2v.nonempty, np.zeros((4, 1)))
         assert inc.v2e.count == 0 and inc.v2e.nonempty.shape == (0, 1)
 
@@ -184,8 +184,8 @@ class TestIncidence:
         assert (inc.v2e.count, inc.e2v.count) == (hg.num_edges, hg.n)
         for v, e in zip(inc.nodes.tolist(), inc.edges.tolist()):
             assert v in hg.edges[e]
-        assert_same(inc.e2v.sizes, inc.degrees.astype(np.float64))
-        assert_same(inc.v2e.sizes, inc.edge_sizes.astype(np.float64))
+        assert_same(inc.e2v.sizes, np.array([1, 3, 2, 0, 1]))  # the node degrees
+        assert_same(inc.v2e.sizes, np.array([3, 2, 2]))  # the edge sizes
         assert inc.e2v.nonempty[:, 0].tolist() == [1.0, 1.0, 1.0, 0.0, 1.0]
 
     @pytest.mark.parametrize("src, seg", [
@@ -229,12 +229,12 @@ class TestIncidence:
     def test_segment_view_accepts_empty_float_ids(self):
         view = hgm.segment_view(np.array([]), np.array([]), 2, 3)
         assert view.src.dtype == view.seg.dtype == np.int64
-        assert view.sizes.tolist() == [0.0, 0.0]
+        assert_same(view.sizes, np.zeros(2, dtype=np.int64))
 
     def test_shims_read_the_cache(self):
         hg = from_edge_list(3, [[0, 1], [1, 2]], weights=[2.0, 0.5])
         inc = hg.incidence
-        assert hg.degrees() is inc.degrees and hg.edge_sizes() is inc.edge_sizes
+        assert hg.degrees() is inc.e2v.sizes and hg.edge_sizes() is inc.v2e.sizes
         nodes, edges = incidence_pairs(hg)
         assert nodes is inc.nodes and edges is inc.edges
         assert_same(inc.weights, np.array([2.0, 0.5]))
@@ -248,9 +248,9 @@ class TestIncidence:
         sizes = np.array([len(e) for e in hg.edges], dtype=np.int64)
         assert_same(inc.nodes, nodes)
         assert_same(inc.edges, edges)
-        assert_same(inc.degrees, degrees)
-        assert_same(inc.edge_sizes, sizes)
-        assert int(inc.degrees.sum()) == int(inc.edge_sizes.sum()) == len(nodes)
+        assert_same(inc.e2v.sizes, degrees)
+        assert_same(inc.v2e.sizes, sizes)
+        assert int(degrees.sum()) == int(sizes.sum()) == len(nodes)
         weights = np.ones(hg.num_edges) if hg.weights is None else np.asarray(hg.weights)
         assert_same(inc.weights, weights)
         for view, src, seg, num in ((inc.v2e, nodes, edges, hg.num_edges),
@@ -269,10 +269,9 @@ class TestIncidence:
         rnd.shuffle(perm)
         relabelled = from_edge_list(hg.n, [[perm[v] for v in e] for e in hg.edges])
         inc, rel = hg.incidence, relabelled.incidence
-        assert_same(rel.degrees[perm], inc.degrees)
         assert_same(rel.e2v.sizes[perm], inc.e2v.sizes)
         assert_same(rel.e2v.nonempty[perm], inc.e2v.nonempty)
-        assert_same(rel.edge_sizes, inc.edge_sizes)
+        assert_same(rel.v2e.sizes, inc.v2e.sizes)
         assert_same(rel.v2e.nonempty, inc.v2e.nonempty)
 
     @settings(max_examples=150, deadline=None)
@@ -310,12 +309,12 @@ class TestIncidence:
         assert_same(loo.src, np.array(src, dtype=np.int64))
         assert_same(loo.seg, np.array(seg, dtype=np.int64))
         assert (loo.count, loo.src_count) == (len(nodes), hg.n)
-        assert_same(loo.sizes, (inc.edge_sizes[edges] - 1).astype(np.float64))
-        assert len(loo.src) == int(inc.edge_sizes @ (inc.edge_sizes - 1))
+        assert_same(loo.sizes, inc.v2e.sizes[edges] - 1)
+        assert len(loo.src) == int(inc.v2e.sizes @ (inc.v2e.sizes - 1))
         assert_same(back.src, np.arange(len(nodes)))
         assert_same(back.seg, nodes)
         assert (back.count, back.src_count) == (hg.n, len(nodes))
-        degrees = loop_degrees(hg).astype(np.float64)
+        degrees = loop_degrees(hg)
         assert_same(back.sizes, degrees)
         assert_same(back.nonempty, (degrees > 0).astype(np.float64).reshape(-1, 1))
         for a in (loo.src, loo.seg, back.src, back.seg):

@@ -247,6 +247,19 @@ class TestAdam:
         with pytest.raises(ad.ShapeMismatchError):
             opt.step(p)
 
+    @pytest.mark.parametrize("lr, weight_decay, match", [
+        (float("nan"), 0.0, "lr must be finite and > 0, got nan"),
+        (float("inf"), 0.0, "lr must be finite and > 0, got inf"),
+        (0.0, 0.0, "lr must be finite and > 0, got 0.0"),
+        (-1e-3, 0.0, "lr must be finite and > 0, got -0.001"),
+        (1e-3, float("nan"), "weight_decay must be finite and >= 0, got nan"),
+        (1e-3, float("inf"), "weight_decay must be finite and >= 0, got inf"),
+        (1e-3, -0.1, "weight_decay must be finite and >= 0, got -0.1"),
+    ])
+    def test_bad_hyperparameters_rejected_at_construction(self, lr, weight_decay, match):
+        with pytest.raises(ValueError, match=match):
+            AdamState({"w": ad.parameter(np.ones((1, 1)))}, lr=lr, weight_decay=weight_decay)
+
     def test_unknown_parameter_named(self):
         opt = AdamState({"a": ad.parameter(np.ones((1, 1)))})
         p = {"a": ad.parameter(np.ones((1, 1))), "b": ad.parameter(np.ones((1, 1)))}

@@ -248,6 +248,22 @@ class TestHgnn:
         assert worst_row(rows)["err"] < 1e-4
         assert {r["param"] for r in rows if r["analytic"] != 0} == set(params)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_layer_matches_printed_formula(self, seed, weighted):
+        # signed features and parameters: relu clips near-zero entries,
+        # where a relative check fails, so the check is absolute
+        rng = np.random.default_rng(seed)
+        hg = random_hypergraph(rng)
+        if weighted:
+            hg = from_edge_list(hg.n, hg.edges, weights=rng.uniform(0.5, 2.0, hg.num_edges))
+        x = rng.normal(size=(hg.n, 3))
+        theta, bias = rng.normal(size=(3, 2)), rng.normal(size=(1, 2))
+        params = {"hgnn.theta": ad.parameter(theta), "hgnn.bias": ad.parameter(bias)}
+        got = hgnn_layer(hg, x, params)
+        want = oracles.hgnn_layer(hg, x, theta, bias)
+        np.testing.assert_allclose(got.value, want, rtol=0, atol=1e-12)
+
 
 class TestHcha:
     def test_edge_feats_without_attention_params_rejected(self):
@@ -379,6 +395,26 @@ class TestHnhn:
         rows = nn.grad_check(build, params)
         assert worst_row(rows)["err"] < 1e-4
         assert {r["param"] for r in rows if r["analytic"] != 0} == set(params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    def test_layer_matches_printed_formula(self, seed, alpha, beta):
+        # signed features and parameters, so the check is absolute as in TestHgnn
+        rng = np.random.default_rng(seed)
+        hg = random_hypergraph(rng)
+        x = rng.normal(size=(hg.n, 3))
+        theta_e, bias_e = rng.normal(size=(3, 4)), rng.normal(size=(1, 4))
+        theta_v, bias_v = rng.normal(size=(4, 2)), rng.normal(size=(1, 2))
+        params = {
+            "hnhn.edge.theta": ad.parameter(theta_e),
+            "hnhn.edge.bias": ad.parameter(bias_e),
+            "hnhn.node.theta": ad.parameter(theta_v),
+            "hnhn.node.bias": ad.parameter(bias_v),
+        }
+        got = hnhn_layer(hg, x, params, alpha=alpha, beta=beta)
+        want = oracles.hnhn_layer(hg, x, theta_e, bias_e, theta_v, bias_v, alpha, beta)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g.value, w, rtol=0, atol=1e-12)
 
 
 def densify(hg, view, weights):
@@ -542,6 +578,20 @@ class TestHyperSage:
         got = hypersage_layer(hg, x, {"hypersage.theta": ad.parameter(theta)}, p=p)
         want = oracles.hypersage_layer(hg, x, theta, p)
         np.testing.assert_allclose(got.value, want, rtol=1e-12, atol=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
+    def test_signed_theta_clips_like_printed_formula(self, seed, p):
+        # a signed Theta sends some pre-activations below zero, where relu
+        # clips them; near its kink a relative check fails, so this one is
+        # absolute
+        rng = np.random.default_rng(seed)
+        hg = random_hypergraph(rng)
+        x = rng.uniform(0.2, 1.5, size=(hg.n, 3))
+        theta = rng.normal(size=(3, 2))
+        got = hypersage_layer(hg, x, {"hypersage.theta": ad.parameter(theta)}, p=p)
+        want = oracles.hypersage_layer(hg, x, theta, p)
+        np.testing.assert_allclose(got.value, want, rtol=0, atol=1e-12)
 
     # p = 1 at 40 columns sums its row norms over two column blocks, the
     # second one partial

@@ -1,6 +1,7 @@
 """Static checks on the package's own source, with the stdlib ``ast``."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -93,3 +94,24 @@ def test_held_ops_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_autodiff_read_is_a_call(path):
     assert held_ops(path.read_text()) == []
+
+
+def error_classes(source: str) -> list:
+    """Names of the classes a module defines whose names end in ``Error``."""
+    return sorted(node.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ClassDef) and node.name.endswith("Error"))
+
+
+def test_error_classes_are_found():
+    source = ("class AError(ValueError):\n    class BError(Exception):\n        pass\n"
+              "class Errors:\n    pass\nXError = ValueError\n")
+    assert error_classes(source) == ["AError", "BError"]
+
+
+def test_every_error_class_is_tested():
+    """Each typed error of the package is named in some test module, so
+    some test raises it or checks it is raised."""
+    tests = "\n".join(path.read_text() for path in TESTS if path.name.startswith("test_"))
+    defined = [name for path in MODULES for name in error_classes(path.read_text())]
+    assert defined
+    assert [name for name in defined if not re.search(rf"\b{name}\b", tests)] == []
